@@ -4,7 +4,7 @@ Data go to CSV, structured records to JSON; every output artifact gets a
 .manifest.json sidecar recording the command, parameters, version, wall time
 and a digest of the resolved coin configuration. Identical inputs produce
 byte-identical data files. Exit codes: 0 success, 2 configuration error,
-3 numerical-validity error. QW3_THREADS bounds the scan worker count.
+3 numerical-validity error.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .coin import (
     serialize_field,
 )
 from .evolution import SimulationError, StateVector, default_initial_state, evolve
+from .linalg import angle_dist
 from .spectral import (
     EigenvalueRecord,
     find_roots,
@@ -157,9 +158,9 @@ def cmd_eigvec(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     field = _resolve_field(args)
     records, _ = _all_records(field, args.grid, args.refine_tol)
-    matches = [r for r in records if abs(r.lam - args.lam) <= args.refine_tol]
+    matches = [r for r in records if angle_dist(r.lam, args.lam) <= args.refine_tol]
     if not matches:
-        nearest = sorted(records, key=lambda r: abs(r.lam - args.lam))[:3]
+        nearest = sorted(records, key=lambda r: angle_dist(r.lam, args.lam))[:3]
         hint = ", ".join(_fmt(r.lam) for r in nearest) or "none found"
         print(
             f"error: lambda={_fmt(args.lam)} is not an accepted root; "
@@ -266,7 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qw3",
         description="Spectral analysis and simulation of three-state quantum "
         "walks on the integer lattice.",
-        epilog="Set QW3_THREADS to bound the number of scan workers.",
     )
     parser.add_argument("--version", action="version", version=f"qw3 {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

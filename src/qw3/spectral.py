@@ -14,15 +14,13 @@ chains.
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coin import CoinField, CoinMatrix
 from .evolution import StateVector, apply_u
-from .linalg import TAU, cross2, eig2, phase_fix
+from .linalg import TAU, angle_dist, cross2, eig2_batch, phase_fix
 from .transfer import (
     ReducedState,
     a_zero,
@@ -30,6 +28,7 @@ from .transfer import (
     iota_inverse,
     lambda0_angle,
     transfer_at,
+    transfer_batch,
     zero_case_vectors,
 )
 
@@ -59,11 +58,6 @@ _GOLDEN_MAX_ITER = 200
 _TAIL_CUTOFF = 1e-12
 
 
-def _angle_dist(a: float, b: float) -> float:
-    d = abs(a - b) % TAU
-    return min(d, TAU - d)
-
-
 @dataclass(frozen=True)
 class AsymptoticSpectrum:
     """Spectral data of one coin's transfer matrix at one phase.
@@ -71,7 +65,7 @@ class AsymptoticSpectrum:
     zeta_less / zeta_greater are the eigenvalues with modulus <= 1 and >= 1
     (their product has unit modulus); in_lambda reports |tr| > 2 + TR_TOL,
     the open condition under which the moduli split strictly and decaying
-    tails exist.
+    tails exist. _asymptotic_batch fills the fields with arrays over phases.
     """
 
     zeta_less: complex
@@ -81,27 +75,36 @@ class AsymptoticSpectrum:
     in_lambda: bool
 
 
+def _asymptotic_batch(
+    coin: CoinMatrix, el: np.ndarray
+) -> tuple[AsymptoticSpectrum, np.ndarray]:
+    """Asymptotic spectra at an array of e^{i lam}, and the degenerate-phase mask."""
+    t, zero = transfer_batch(coin, el)
+    pairs = eig2_batch(*t)
+    # |tr| > 2 with unit |det| already rules out a repeated eigenvalue; the
+    # explicit check keeps a defective pair out of the arcs regardless
+    in_lambda = (np.abs(t[0] + t[3]) > 2.0 + TR_TOL) & ~pairs.degenerate & ~zero
+    swap = np.abs(pairs.zeta_plus) > np.abs(pairs.zeta_minus)
+    vswap = swap[:, None]
+    return AsymptoticSpectrum(
+        np.where(swap, pairs.zeta_minus, pairs.zeta_plus),
+        np.where(swap, pairs.zeta_plus, pairs.zeta_minus),
+        np.where(vswap, pairs.v_minus, pairs.v_plus),
+        np.where(vswap, pairs.v_plus, pairs.v_minus),
+        in_lambda,
+    ), zero
+
+
 def asymptotic_spectrum(coin: CoinMatrix, lam: float) -> AsymptoticSpectrum:
     """Eigen-decomposition of the transfer matrix of a homogeneous region."""
-    data = transfer_at(coin, lam)
-    if data.zero_flag:
+    spec, zero = _asymptotic_batch(coin, np.exp(1j * np.array([lam])))
+    if zero[0]:
         raise ValueError(
             f"transfer matrix degenerates at lam={lam!r}; this phase belongs to "
             "the exceptional set and must be adjudicated separately"
         )
-    t = data.matrix
-    tr = t[0, 0] + t[1, 1]
-    pairs = eig2(t)
-    # |tr| > 2 with unit |det| already rules out a repeated eigenvalue; the
-    # explicit check keeps a defective pair out of the arcs regardless
-    in_lambda = bool(abs(tr) > 2.0 + TR_TOL) and not pairs.degenerate
-    if abs(pairs.zeta_plus) <= abs(pairs.zeta_minus):
-        return AsymptoticSpectrum(
-            pairs.zeta_plus, pairs.zeta_minus, pairs.v_plus, pairs.v_minus, in_lambda
-        )
-    return AsymptoticSpectrum(
-        pairs.zeta_minus, pairs.zeta_plus, pairs.v_minus, pairs.v_plus, in_lambda
-    )
+    return AsymptoticSpectrum(spec.zeta_less[0], spec.zeta_greater[0], spec.v_less[0],
+                              spec.v_greater[0], bool(spec.in_lambda[0]))
 
 
 def lambda0_set(field: CoinField) -> list[float]:
@@ -111,7 +114,7 @@ def lambda0_set(field: CoinField) -> list[float]:
         ang = lambda0_angle(coin)
         if ang is None:
             continue
-        if not any(_angle_dist(ang, seen) <= 1e-12 for seen in angles):
+        if not any(angle_dist(ang, seen) <= 1e-12 for seen in angles):
             angles.append(ang)
     return sorted(angles)
 
@@ -120,8 +123,8 @@ def lambda0_set(field: CoinField) -> list[float]:
 class ChiSample:
     """chi evaluated at one phase, with validity flags.
 
-    value is None when a transfer matrix in the chain cannot be built (which
-    only happens in the immediate vicinity of a degenerate phase).
+    value is None off the allowed arcs, and where a transfer matrix in the
+    chain cannot be built (only next to a degenerate phase).
     """
 
     lam: float
@@ -130,32 +133,51 @@ class ChiSample:
     near_lambda0: bool
 
 
-def chi(
-    field: CoinField, lam: float, lambda0_angles: list[float] | None = None
-) -> ChiSample:
-    """Boundary-matching function whose zeros on the allowed arcs are eigenphases.
+def chi_batch(
+    field: CoinField, lams: np.ndarray, lambda0_angles: list[float] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """chi at an array of phases, returned as (values, in_lambda, near_lambda0).
 
     chi(lam) = (T_{x_plus} ... T_{x_minus} v_greater(-inf)) x v_less(+inf),
-    the ordered transfer product over the window applied to the left tail's
-    growing eigendirection, crossed against the right tail's decaying one.
+    the ordered transfer product over the window (a loop over sites, each
+    step applied to all phases at once) applied to the left tail's growing
+    eigendirection, crossed against the right tail's decaying one. Its zeros
+    on the allowed arcs are the eigenphases. A value is NaN where chi is
+    undefined: off the arcs, or where a transfer matrix in the chain cannot
+    be built (which marks the phase near_lambda0).
     """
     if lambda0_angles is None:
         lambda0_angles = lambda0_set(field)
-    near = any(_angle_dist(lam, g) < LAMBDA0_GUARD for g in lambda0_angles)
-    if a_zero(field.c_minus, lam) or a_zero(field.c_plus, lam):
-        return ChiSample(lam, None, False, True)
-    spec_minus = asymptotic_spectrum(field.c_minus, lam)
-    spec_plus = asymptotic_spectrum(field.c_plus, lam)
-    in_lambda = spec_minus.in_lambda and spec_plus.in_lambda
-    if not in_lambda:
-        return ChiSample(lam, None, False, near)
-    v = spec_minus.v_greater
+    near = np.zeros(lams.shape, dtype=bool)
+    for g in lambda0_angles:
+        near |= angle_dist(lams, g) < LAMBDA0_GUARD
+    el = np.exp(1j * lams)
+    spec_minus, zero_minus = _asymptotic_batch(field.c_minus, el)
+    spec_plus, zero_plus = _asymptotic_batch(field.c_plus, el)
+    near |= zero_minus | zero_plus
+    in_lambda = spec_minus.in_lambda & spec_plus.in_lambda
+    idx = np.flatnonzero(in_lambda)
+    e = el[idx]
+    v0, v1 = spec_minus.v_greater[idx, 0], spec_minus.v_greater[idx, 1]
+    hit = np.zeros(idx.shape, dtype=bool)
     for x in range(field.x_minus, field.x_plus + 1):
-        data = transfer_at(field.lookup(x), lam)
-        if data.zero_flag:
-            return ChiSample(lam, None, in_lambda, True)
-        v = data.matrix @ v
-    return ChiSample(lam, cross2(v, spec_plus.v_less), in_lambda, near)
+        (t00, t01, t10, t11), zero = transfer_batch(field.lookup(x), e)
+        hit |= zero
+        v0, v1 = t00 * v0 + t01 * v1, t10 * v0 + t11 * v1
+    w = spec_plus.v_less[idx]
+    values = np.full(lams.shape, np.nan, dtype=complex)
+    values[idx] = np.where(hit, np.nan, v0 * w[:, 1] - v1 * w[:, 0])
+    near[idx[hit]] = True
+    return values, in_lambda, near
+
+
+def chi(
+    field: CoinField, lam: float, lambda0_angles: list[float] | None = None
+) -> ChiSample:
+    """chi_batch at one phase."""
+    values, in_lambda, near = chi_batch(field, np.array([lam]), lambda0_angles)
+    value = None if np.isnan(values[0]) else values[0]
+    return ChiSample(lam, value, bool(in_lambda[0]), bool(near[0]))
 
 
 @dataclass(frozen=True)
@@ -243,11 +265,8 @@ def build_eigenvector(
             )
         lo, hi = window
     values = np.zeros((hi - lo + 1, 2), dtype=complex)
-    v = spec_minus.v_greater.copy()
-    values[field.x_minus - lo] = v
-    for x in range(field.x_minus, field.x_plus):
-        v = transfer_at(field.lookup(x), lam).matrix @ v
-        values[x + 1 - lo] = v
+    values[field.x_minus - lo : field.x_plus - lo + 1] = _propagate(
+        field, lam, spec_minus.v_greater, field.x_minus, field.x_plus)
     anchor_right = values[field.x_plus - lo].copy()
     for j in range(1, hi - field.x_plus + 1):
         values[field.x_plus + j - lo] = (zl**j) * anchor_right
@@ -258,50 +277,44 @@ def build_eigenvector(
     return _canonical(iota_inverse(reduced, field, lam))
 
 
-def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float, bool]:
+def _golden_min(f, a: np.ndarray, b: np.ndarray, tol: float):
+    """Golden-section search on every bracket [a_k, b_k] in lockstep, in place.
+
+    f maps an array of points to an array of values. Each bracket stops once
+    narrower than tol, so it visits the same points as a search of its own.
+    Returns the midpoints, f there, and which converged within the cap.
+    """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - (b - a) * invphi
     d = a + (b - a) * invphi
-    fc, fd = f(c), f(d)
+    fc, fd = np.split(f(np.concatenate([c, d])), 2)
     for _ in range(_GOLDEN_MAX_ITER):
-        if b - a <= tol:
-            x = 0.5 * (a + b)
-            return x, f(x), True
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * invphi
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * invphi
-            fd = f(d)
+        done = b - a <= tol
+        if done.all():
+            break
+        active = np.flatnonzero(~done)
+        to_left = fc[active] < fd[active]
+        lo, hi = active[to_left], active[~to_left]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - (b[lo] - a[lo]) * invphi
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + (b[hi] - a[hi]) * invphi
+        fc[lo], fd[hi] = np.split(f(np.concatenate([c[lo], d[hi]])), [len(lo)])
     x = 0.5 * (a + b)
-    return x, f(x), False
+    return x, f(x), done
 
 
 def grid_samples(field: CoinField, grid_n: int) -> list[ChiSample]:
-    """chi on the uniform grid over [0, 2pi), parallelized per QW3_THREADS."""
-    guards = lambda0_set(field)
+    """chi on the uniform grid over [0, 2pi)."""
+    samples = zip(*_grid_samples(field, grid_n, lambda0_set(field)))
+    return [ChiSample(float(lam), None if np.isnan(v) else v, bool(i), bool(n))
+            for lam, v, i, n in samples]
+
+
+def _grid_samples(field: CoinField, grid_n: int, guards: list[float]):
+    """(phases, *chi_batch) on the uniform grid of grid_n phases over [0, 2pi)."""
     lams = np.arange(grid_n) * (TAU / grid_n)
-    return _grid_samples(field, lams, guards)
-
-
-def _grid_samples(
-    field: CoinField, lams: np.ndarray, guards: list[float]
-) -> list[ChiSample]:
-    workers = int(os.environ.get("QW3_THREADS", "1") or "1")
-    if workers <= 1 or len(lams) < 256:
-        return [chi(field, float(l), guards) for l in lams]
-    chunks = np.array_split(np.arange(len(lams)), 4 * workers)
-    out: list[ChiSample | None] = [None] * len(lams)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        def work(idx: np.ndarray) -> list[tuple[int, ChiSample]]:
-            return [(int(i), chi(field, float(lams[i]), guards)) for i in idx]
-
-        for batch in pool.map(work, chunks):
-            for i, sample in batch:
-                out[i] = sample
-    return out  # type: ignore[return-value]
+    return (lams, *chi_batch(field, lams, guards))
 
 
 def _make_record(
@@ -343,42 +356,37 @@ def find_roots(
     if refine_tol <= 0:
         raise ValueError("refine_tol must be positive")
     guards = lambda0_set(field)
-    lams = np.arange(grid_n) * (TAU / grid_n)
-    samples = _grid_samples(field, lams, guards)
-    ok = np.array(
-        [s.value is not None and s.in_lambda and not s.near_lambda0 for s in samples]
-    )
-    y = np.array(
-        [abs(s.value) ** 2 if ok[i] else np.inf for i, s in enumerate(samples)]
-    )
+    lams, values, in_lambda, near = _grid_samples(field, grid_n, guards)
+    ok = ~np.isnan(values) & in_lambda & ~near
+    y = np.where(ok, np.abs(values) ** 2, np.inf)
 
-    def objective(t: float) -> float:
-        sample = chi(field, t % TAU, guards)
-        if sample.value is None or not sample.in_lambda:
-            return np.inf
-        return abs(sample.value) ** 2
+    def objective(t: np.ndarray) -> np.ndarray:
+        values, in_lambda, _ = chi_batch(field, t % TAU, guards)
+        return np.where(in_lambda & ~np.isnan(values), np.abs(values) ** 2, np.inf)
+
+    # local minima of |chi|^2 whose grid neighbours are both usable
+    minima = np.flatnonzero(
+        ok & np.roll(ok, 1) & np.roll(ok, -1) & (y <= np.roll(y, 1)) & (y <= np.roll(y, -1))
+    )
+    h = TAU / grid_n
+    xs, fxs, converged = _golden_min(objective, lams[minima] - h, lams[minima] + h, refine_tol)
+    accepted = converged & (np.sqrt(fxs) <= CHI_ACCEPT)
+    # a simple root has |chi| growing linearly off the minimum; an
+    # anomalously small slope would hint at a tangential (double) zero
+    delta = max(1e-7, 10.0 * refine_tol)
+    f_plus, f_minus = np.split(
+        objective(np.concatenate([xs[accepted] + delta, xs[accepted] - delta])), 2
+    )
+    slopes = iter((np.sqrt(f_plus) + np.sqrt(f_minus)) / (2.0 * delta))
 
     diagnostics: list[dict] = []
     found: list[tuple[float, float]] = []
-    h = TAU / grid_n
-    for i in range(grid_n):
-        prev_i, next_i = (i - 1) % grid_n, (i + 1) % grid_n
-        if not (ok[prev_i] and ok[i] and ok[next_i]):
-            continue
-        if not (y[i] <= y[prev_i] and y[i] <= y[next_i]):
-            continue
-        x, fx, converged = _golden_min(objective, lams[i] - h, lams[i] + h, refine_tol)
-        if not converged:
+    for x, fx, conv, acc in zip(xs, fxs, converged, accepted):
+        if not conv:
             diagnostics.append({"kind": "refine-nonconverged", "lambda": x % TAU})
-            continue
-        if np.sqrt(fx) <= CHI_ACCEPT:
+        elif acc:
             found.append((x % TAU, float(np.sqrt(fx))))
-            # a simple root has |chi| growing linearly off the minimum; an
-            # anomalously small slope would hint at a tangential (double) zero
-            delta = max(1e-7, 10.0 * refine_tol)
-            slope = (np.sqrt(objective(x + delta)) + np.sqrt(objective(x - delta))) / (
-                2.0 * delta
-            )
+            slope = next(slopes)
             if slope < 1e-3:
                 diagnostics.append(
                     {"kind": "shallow-root", "lambda": x % TAU, "slope": float(slope)}
@@ -387,7 +395,7 @@ def find_roots(
     found.sort()
     records: list[EigenvalueRecord] = []
     for lam, chi_abs in found:
-        if records and _angle_dist(lam, records[-1].lam) <= 1e-9:
+        if records and angle_dist(lam, records[-1].lam) <= 1e-9:
             continue
         record = _make_record(field, lam, chi_abs, diagnostics)
         if record is not None:

@@ -33,29 +33,13 @@ MODULUS_TOL = 1e-10
 COMPACT_TOL = 1e-10
 
 
-def abcd(coin: CoinMatrix, lam: float) -> tuple[complex, complex, complex, complex]:
-    """The four reduced coupling coefficients at eigenphase lam (rational form).
-
-    A = a11 + a12 a21 / (e^{i lam} - a22) and cyclic analogues; the common
-    denominator never vanishes because |a22| != 1 for a valid coin.
-    """
-    m = coin.mat
-    den = np.exp(1j * lam) - m[1, 1]
-    return (
-        m[0, 0] + m[0, 1] * m[1, 0] / den,
-        m[0, 2] + m[0, 1] * m[1, 2] / den,
-        m[2, 0] + m[2, 1] * m[1, 0] / den,
-        m[2, 2] + m[2, 1] * m[1, 2] / den,
-    )
-
-
 def abcd_closed(coin: CoinMatrix, lam: float) -> tuple[complex, complex, complex, complex]:
     """Unitarity-simplified closed forms of the coupling coefficients.
 
     Each coefficient is a two-term numerator over e^{i lam} - a22, e.g.
-    A = (a11 e^{i lam} - e^{i Delta} conj(a33)) / (e^{i lam} - a22).
-    Agrees with abcd() to machine precision; kept separate so tests can pit
-    the two derivations against each other.
+    A = (a11 e^{i lam} - e^{i Delta} conj(a33)) / (e^{i lam} - a22). It agrees
+    with the rational form A = a11 + a12 a21 / (e^{i lam} - a22) and its cyclic
+    analogues to machine precision.
     """
     m = coin.mat
     el = np.exp(1j * lam)
@@ -69,11 +53,39 @@ def abcd_closed(coin: CoinMatrix, lam: float) -> tuple[complex, complex, complex
     )
 
 
+def _divisor(coin: CoinMatrix, el):
+    """a11 e^{i lam} - e^{i Delta} conj(a33), and where it vanishes to ZERO_TOL."""
+    m = coin.mat
+    num = m[0, 0] * el - coin.det_unit * np.conj(m[2, 2])
+    return num, np.abs(num) <= ZERO_TOL * max(abs(m[0, 0]), abs(m[2, 2]))
+
+
+def transfer_batch(coin: CoinMatrix, el):
+    """Closed-form transfer matrices of a coin at an array of e^{i lam}.
+
+    T = [[e^{i lam}(e^{i lam} - a22), -a13 e^{i lam} - e^{i Delta} conj(a31)],
+         [a31 e^{i lam} + e^{i Delta} conj(a13), -e^{i Delta}(e^{-i lam} - conj(a22))]]
+    divided by a11 e^{i lam} - e^{i Delta} conj(a33). |det T| = 1 whenever the
+    divisor is nonzero. Returns the entries (t00, t01, t10, t11) and the mask
+    of the degenerate phases, where the divisor vanishes to ZERO_TOL and the
+    entries are left finite but meaningless.
+    """
+    m = coin.mat
+    ed = coin.det_unit
+    num, zero = _divisor(coin, el)
+    num = np.where(zero, 1.0, num)
+    entries = (
+        el * (el - m[1, 1]) / num,
+        (-m[0, 2] * el - ed * np.conj(m[2, 0])) / num,
+        (m[2, 0] * el + ed * np.conj(m[0, 2])) / num,
+        -ed * (np.conj(el) - np.conj(m[1, 1])) / num,
+    )
+    return entries, zero
+
+
 def a_zero(coin: CoinMatrix, lam: float) -> bool:
     """True when the transfer matrix cannot be built at lam (leading coefficient ~ 0)."""
-    m = coin.mat
-    num = m[0, 0] * np.exp(1j * lam) - coin.det_unit * np.conj(m[2, 2])
-    return abs(num) <= ZERO_TOL * max(abs(m[0, 0]), abs(m[2, 2]))
+    return bool(_divisor(coin, np.exp(1j * lam))[1])
 
 
 def lambda0_angle(coin: CoinMatrix) -> float | None:
@@ -110,28 +122,12 @@ class TransferData:
 
 
 def transfer_at(coin: CoinMatrix, lam: float) -> TransferData:
-    """Simplified closed-form transfer matrix of a coin at eigenphase lam.
-
-    T = [[e^{i lam}(e^{i lam} - a22), -a13 e^{i lam} - e^{i Delta} conj(a31)],
-         [a31 e^{i lam} + e^{i Delta} conj(a13), -e^{i Delta}(e^{-i lam} - conj(a22))]]
-    divided by a11 e^{i lam} - e^{i Delta} conj(a33). |det T| = 1 whenever the
-    divisor is nonzero; zero_flag marks the degenerate phases.
-    """
-    m = coin.mat
-    el = np.exp(1j * lam)
-    ed = coin.det_unit
+    """transfer_batch at one eigenphase, with the coupling coefficients."""
     A, B, C, D = abcd_closed(coin, lam)
-    num = m[0, 0] * el - ed * np.conj(m[2, 2])
-    if abs(num) <= ZERO_TOL * max(abs(m[0, 0]), abs(m[2, 2])):
+    (t00, t01, t10, t11), zero = transfer_batch(coin, np.exp(1j * lam))
+    if zero:
         return TransferData(lam, A, B, C, D, None, True)
-    t = np.array(
-        [
-            [el * (el - m[1, 1]), -m[0, 2] * el - ed * np.conj(m[2, 0])],
-            [m[2, 0] * el + ed * np.conj(m[0, 2]), -ed * (np.conj(el) - np.conj(m[1, 1]))],
-        ],
-        dtype=complex,
-    ) / num
-    return TransferData(lam, A, B, C, D, t, False)
+    return TransferData(lam, A, B, C, D, np.array([[t00, t01], [t10, t11]]), False)
 
 
 def zero_case_vectors(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -196,15 +192,6 @@ class ReducedState:
         if self.lo <= x <= self.hi:
             return self.values[x - self.lo]
         return np.zeros(2, dtype=complex)
-
-
-def iota(state: StateVector) -> ReducedState:
-    """Reduce a three-component state: (iota psi)(x) = [psi_1(x-1), psi_3(x)]."""
-    lo, hi = state.lo, state.hi + 1
-    values = np.zeros((hi - lo + 1, 2), dtype=complex)
-    values[1:, 0] = state.amps[:, 0]
-    values[: state.hi - state.lo + 1, 1] = state.amps[:, 2]
-    return ReducedState(lo, hi, values)
 
 
 def iota_inverse(reduced: ReducedState, field: CoinField, lam: float) -> StateVector:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from qw3.coin import CoinMatrix
+from qw3.evolution import StateVector
+from qw3.transfer import ReducedState
 
 THETAS = (np.pi / 12, 3 * np.pi / 12, 7 * np.pi / 12, 11 * np.pi / 12)
 
@@ -19,6 +21,35 @@ def random_coin(rng: np.random.Generator) -> CoinMatrix:
         m = random_unitary(rng)
         if max(abs(abs(m[0, 2])), abs(abs(m[1, 1])), abs(abs(m[2, 0]))) < 1 - 1e-6:
             return CoinMatrix(m)
+
+
+def abcd(coin: CoinMatrix, lam: float) -> tuple[complex, complex, complex, complex]:
+    """The four reduced coupling coefficients at eigenphase lam (rational form).
+
+    A = a11 + a12 a21 / (e^{i lam} - a22) and cyclic analogues; the common
+    denominator never vanishes because |a22| != 1 for a valid coin. The
+    oracle for the unitarity-simplified qw3.transfer.abcd_closed.
+    """
+    m = coin.mat
+    den = np.exp(1j * lam) - m[1, 1]
+    return (
+        m[0, 0] + m[0, 1] * m[1, 0] / den,
+        m[0, 2] + m[0, 1] * m[1, 2] / den,
+        m[2, 0] + m[2, 1] * m[1, 0] / den,
+        m[2, 2] + m[2, 1] * m[1, 2] / den,
+    )
+
+
+def iota(state: StateVector) -> ReducedState:
+    """Reduce a three-component state: (iota psi)(x) = [psi_1(x-1), psi_3(x)].
+
+    The inverse of qw3.transfer.iota_inverse on the window interior.
+    """
+    lo, hi = state.lo, state.hi + 1
+    values = np.zeros((hi - lo + 1, 2), dtype=complex)
+    values[1:, 0] = state.amps[:, 0]
+    values[: state.hi - state.lo + 1, 1] = state.amps[:, 2]
+    return ReducedState(lo, hi, values)
 
 
 @pytest.fixture

@@ -22,9 +22,9 @@ from qw3.coin import (
 from qw3.evolution import apply_u, default_initial_state, evolve, time_averaged_origin
 from qw3.linalg import TAU, eig2
 from qw3.spectral import find_roots, lambda0_adjudicate, lambda0_set
-from qw3.transfer import abcd, lambda0_angle, transfer_at
+from qw3.transfer import lambda0_angle, transfer_at
 
-from conftest import THETAS, random_coin
+from conftest import THETAS, abcd, random_coin
 
 OMEGA = np.exp(2j * np.pi / 3)
 

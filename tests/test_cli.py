@@ -221,9 +221,29 @@ def test_demo_fig1(tmp_path):
 
 
 def test_scan_threaded_matches_serial(tmp_path, monkeypatch):
+    # the scan no longer runs a thread pool: a leftover QW3_THREADS setting
+    # must be ignored and leave the one-defect scan byte-identical
     serial, threaded = tmp_path / "s.csv", tmp_path / "t.csv"
     args = ["scan", "--model", "one-defect", "--theta", "0.9", "--grid", "1100"]
     assert main(args + ["--out", str(serial)]) == 0
     monkeypatch.setenv("QW3_THREADS", "4")
     assert main(args + ["--out", str(threaded)]) == 0
     assert serial.read_bytes() == threaded.read_bytes()
+
+
+def test_eigvec_matches_phase_modulo_two_pi(tmp_path, capsys):
+    model = ["--model", "one-defect", "--theta", repr(np.pi / 12)]
+    roots_path = tmp_path / "roots.json"
+    assert main(["roots", *model, "--out", str(roots_path)]) == 0
+    lam = json.loads(roots_path.read_text())["records"][0]["lambda"]
+    csvs = []
+    for k, shift in enumerate((0.0, 2 * np.pi, -2 * np.pi)):
+        out = tmp_path / f"v{k}.csv"
+        assert main(["eigvec", *model, f"--lambda={lam + shift!r}", "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1] == csvs[2]
+    code = main(["eigvec", *model, f"--lambda={lam + 2 * np.pi + 1e-3!r}",
+                 "--out", str(tmp_path / "miss.csv")])
+    assert code == 2
+    # the hint names the root that is nearest on the circle first
+    assert f"nearest roots: {lam:.17g}" in capsys.readouterr().err

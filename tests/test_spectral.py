@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qw3.coin import (
+    CoinField,
     field_homogeneous,
     field_one_defect,
     field_two_phase,
@@ -10,22 +11,46 @@ from qw3.coin import (
     phase_scale,
 )
 from qw3.evolution import apply_u
-from qw3.linalg import TAU
+from qw3.linalg import TAU, eig2
 from qw3.spectral import (
+    LAMBDA0_GUARD,
+    TR_TOL,
     asymptotic_spectrum,
     build_eigenvector,
     chi,
     find_roots,
+    grid_samples,
     lambda0_adjudicate,
     lambda0_set,
     operator_residual,
 )
-from qw3.transfer import a_zero, transfer_at
+from qw3.transfer import a_zero, lambda0_angle, transfer_at
 
-from conftest import THETAS, random_coin
+from conftest import THETAS, abcd, random_coin
 
 OMEGA = np.exp(2j * np.pi / 3)
 FOURIER_DELTA = -1j  # determinant of the 3-point DFT coin
+
+# chi-root eigenphases of the eight presets at grid 4000, refine_tol 1e-12
+PRESET_EIGENPHASES = {
+    ("one-defect", 0): (0.5405655958171292, 2.172793810778921, 3.7052863079839913),
+    ("one-defect", 1): (0.6372771231181227, 2.4609101630918397, 3.715517180648835,
+                        3.878577791948085),
+    ("one-defect", 2): (0.5488601767634314, 0.8930752091178794, 2.101287807828543,
+                        3.0362821412885355, 4.2952920476322305, 4.367791867590693),
+    ("one-defect", 3): (0.8372504355192842, 1.083515479405079, 2.2458001350679067,
+                        3.7931480613430715, 4.715942289977832, 5.103208226138609),
+    ("two-phase", 0): (),
+    ("two-phase", 1): (3.7548624761308327,),
+    ("two-phase", 2): (0.6314823591294982, 4.342706009054389),
+    ("two-phase", 3): (0.9854355217967526, 3.975586510727874, 5.035950397583636),
+}
+
+
+def preset_field(model, theta_index):
+    shifted = phase_scale(make_fourier(), THETAS[theta_index])
+    build = field_one_defect if model == "one-defect" else field_two_phase
+    return build(make_fourier(), shifted)
 
 
 def sample_valid(rng, coin):
@@ -319,3 +344,75 @@ def test_mixed_field_matches_dense_diagonalization():
     brute = _dense_point_spectrum(field, 60)
     assert len(mine) == len(brute) == 5
     assert max(abs(a - b) for a, b in zip(mine, brute)) < 1e-6
+
+
+def test_preset_eigenphases_pinned():
+    for (model, i), expected in PRESET_EIGENPHASES.items():
+        scan = find_roots(preset_field(model, i), grid_n=4000, refine_tol=1e-12)
+        got = [r.lam for r in scan.records]
+        assert len(got) == len(expected), (model, i, got)
+        for g, e in zip(got, expected):
+            assert abs(g - e) <= 1e-12, (model, i, g, e)
+
+
+def reference_chi(field, lam, angles):
+    """|chi|, in_lambda and near_lambda0 at one phase, built independently of
+    the batched kernel: transfer matrices from the rational coefficients (the
+    criterion-8 construction), eig2 for the tails, an explicit product over
+    the window sites. angles are the coins' exceptional phases; |chi| is None
+    where chi is undefined."""
+    el = np.exp(1j * lam)
+
+    def transfer(coin):
+        A, B, C, D = abcd(coin, lam)
+        if abs(A) <= 1e-9:
+            return None  # an exceptional phase of this coin
+        return np.array([[el, -B], [C, -np.conj(el) * (B * C - A * D)]]) / A
+
+    near = any(min(abs(lam - a) % TAU, TAU - abs(lam - a) % TAU) < LAMBDA0_GUARD
+               for a in angles)
+    tails = []
+    for coin in (field.c_minus, field.c_plus):
+        t = transfer(coin)
+        if t is None:
+            return None, False, True
+        pairs = eig2(t)
+        inside = abs(t[0, 0] + t[1, 1]) > 2.0 + TR_TOL and not pairs.degenerate
+        if abs(pairs.zeta_plus) <= abs(pairs.zeta_minus):
+            tails.append((inside, pairs.v_plus, pairs.v_minus))
+        else:
+            tails.append((inside, pairs.v_minus, pairs.v_plus))
+    (in_minus, _, v), (in_plus, w, _) = tails
+    if not (in_minus and in_plus):
+        return None, False, near
+    for x in range(field.x_minus, field.x_plus + 1):
+        t = transfer(field.lookup(x))
+        if t is None:
+            return None, True, True
+        v = t @ v
+    return abs(v[0] * w[1] - v[1] * w[0]), True, near
+
+
+def test_batched_chi_matches_scalar_reference():
+    rng = np.random.default_rng(12)
+    fields = [preset_field(m, i) for m in ("one-defect", "two-phase") for i in range(4)]
+    fields.append(CoinField(random_coin(rng), random_coin(rng), -6, 6,
+                            tuple(random_coin(rng) for _ in range(12))))
+    for field in fields:
+        angles = [lambda0_angle(c) for c in field.distinct_coins()]
+        angles = [a for a in angles if a is not None]
+        defined = 0
+        for sample in grid_samples(field, 1000):
+            ref, in_lambda, near = reference_chi(field, sample.lam, angles)
+            assert (sample.in_lambda, sample.near_lambda0) == (in_lambda, near)
+            assert (sample.value is None) == (ref is None)
+            if ref is not None:
+                defined += 1
+                assert abs(abs(sample.value) - ref) <= 1e-9 * ref
+        assert defined > 100
+    # without guards, the degenerate-phase mask alone flags a window coin's
+    # (one-defect) or a tail coin's (two-phase) exceptional phase
+    lam0 = lambda0_angle(phase_scale(make_fourier(), THETAS[0]))
+    for model, in_lambda in (("one-defect", True), ("two-phase", False)):
+        sample = chi(preset_field(model, 0), lam0, [])
+        assert (sample.value, sample.in_lambda, sample.near_lambda0) == (None, in_lambda, True)

@@ -5,17 +5,15 @@ from qw3.linalg import TAU, cross2
 from qw3.transfer import (
     ReducedState,
     a_zero,
-    abcd,
     abcd_closed,
     compact_support_condition,
-    iota,
     iota_inverse,
     lambda0_angle,
     transfer_at,
     zero_case_vectors,
 )
 
-from conftest import random_coin
+from conftest import abcd, iota, random_coin
 
 OMEGA = np.exp(2j * np.pi / 3)
 
