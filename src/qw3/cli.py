@@ -22,12 +22,11 @@ import numpy as np
 from . import __version__
 from .coin import (
     CoinField,
+    PRESETS,
     ConfigError,
     field_homogeneous,
     field_one_defect,
     field_two_phase,
-    make_fourier,
-    make_grover,
     parse_field_config,
     phase_scale,
     serialize_field,
@@ -85,7 +84,7 @@ def _resolve_field(args: argparse.Namespace) -> CoinField:
         return parse_field_config(Path(args.config).read_text(encoding="utf-8"))
     if args.model is None:
         raise ConfigError("provide either --config or --model")
-    base = {"fourier": make_fourier, "grover": make_grover}[args.coin]()
+    base = PRESETS[args.coin]()
     shifted = phase_scale(base, args.theta) if args.theta else base
     if args.model == "one-defect":
         return field_one_defect(base, shifted)
@@ -277,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--model", choices=("one-defect", "two-phase", "homogeneous"),
             help="preset model built from --coin and --theta",
         )
-        p.add_argument("--coin", choices=("fourier", "grover"), default="fourier")
+        p.add_argument("--coin", choices=sorted(PRESETS), default="fourier")
         p.add_argument(
             "--theta", type=float, default=0.0,
             help="phase of the defect/right-half coin (presets only)",

@@ -83,7 +83,7 @@ def make_grover() -> CoinMatrix:
     return CoinMatrix((2.0 / 3.0) * np.ones((3, 3)) - np.eye(3))
 
 
-_PRESETS = {"fourier": make_fourier, "grover": make_grover}
+PRESETS = {"fourier": make_fourier, "grover": make_grover}
 
 
 def phase_scale(coin: CoinMatrix, theta: float) -> CoinMatrix:
@@ -159,11 +159,11 @@ def _parse_coin(node: object, where: str) -> CoinMatrix:
         raise ConfigError(f"{where}: coin must be an object, got {type(node).__name__}")
     if "preset" in node:
         name = node["preset"]
-        if name not in _PRESETS:
+        if name not in PRESETS:
             raise ConfigError(
-                f"{where}: unknown preset {name!r} (expected one of {sorted(_PRESETS)})"
+                f"{where}: unknown preset {name!r} (expected one of {sorted(PRESETS)})"
             )
-        coin = _PRESETS[name]()
+        coin = PRESETS[name]()
         phase = node.get("phase", 0.0)
         if not isinstance(phase, (int, float)):
             raise ConfigError(f"{where}: phase must be a number")

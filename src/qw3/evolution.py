@@ -9,7 +9,7 @@ as leaked and invalidates the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,7 +100,8 @@ def _step(coins: np.ndarray, amps: np.ndarray) -> np.ndarray:
 
 def apply_u(field: CoinField, psi: StateVector) -> StateVector:
     """One step of the walk. Norm-preserving while nothing reaches the window edge."""
-    edge = max(psi.site_norms()[0], psi.site_norms()[-1]) if psi.amps.size else 0.0
+    norms = psi.site_norms()
+    edge = max(norms[0], norms[-1]) if norms.size else 0.0
     leaked = psi.leaked or edge > LEAK_TOL
     coins = _coin_stack(field, psi.lo, psi.hi)
     return StateVector(psi.lo, psi.hi, _step(coins, psi.amps), leaked)
@@ -123,19 +124,23 @@ def _require_margin(psi0: StateVector, steps: int) -> None:
         )
 
 
+def _run(field: CoinField, psi0: StateVector, steps: int):
+    """The amplitudes at times 1..steps. The window must clear the light cone."""
+    _require_margin(psi0, steps)
+    coins = _coin_stack(field, psi0.lo, psi0.hi)
+    amps = psi0.amps
+    for _ in range(steps):
+        amps = _step(coins, amps)
+        yield amps
+
+
 def evolve(field: CoinField, psi0: StateVector, steps: int) -> list[Distribution]:
     """Distributions at times 0..steps. The window must clear the light cone."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    _require_margin(psi0, steps)
-    coins = _coin_stack(field, psi0.lo, psi0.hi)
-    amps = psi0.amps.copy()
-    out = [StateVector(psi0.lo, psi0.hi, amps).distribution(0)]
-    for t in range(1, steps + 1):
-        amps = _step(coins, amps)
-        out.append(
-            Distribution(psi0.lo, psi0.hi, (np.abs(amps) ** 2).sum(axis=1), t)
-        )
+    out = [psi0.distribution(0)]
+    for t, amps in enumerate(_run(field, psi0, steps), start=1):
+        out.append(Distribution(psi0.lo, psi0.hi, (np.abs(amps) ** 2).sum(axis=1), t))
     return out
 
 
@@ -145,12 +150,7 @@ def time_averaged_origin(field: CoinField, psi0: StateVector, t_max: int) -> flo
         raise ValueError("t_max must be at least 1")
     if not psi0.lo <= 0 <= psi0.hi:
         raise ValueError("window must contain the origin")
-    _require_margin(psi0, t_max)
-    coins = _coin_stack(field, psi0.lo, psi0.hi)
-    amps = psi0.amps.copy()
-    origin = -psi0.lo
     acc = 0.0
-    for _ in range(t_max):
-        amps = _step(coins, amps)
-        acc += float((np.abs(amps[origin]) ** 2).sum())
+    for amps in _run(field, psi0, t_max):
+        acc += float((np.abs(amps[-psi0.lo]) ** 2).sum())
     return acc / t_max

@@ -94,14 +94,6 @@ def eig2(m: np.ndarray) -> Eig2:
     return Eig2(p.zeta_plus[0], p.zeta_minus[0], p.v_plus[0], p.v_minus[0], bool(p.degenerate[0]))
 
 
-def mat3_is_unitary(c: np.ndarray, tol: float) -> bool:
-    """True iff the max-norm of C^dagger C - I is at most tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    c = np.asarray(c, dtype=complex)
-    return bool(np.abs(c.conj().T @ c - np.eye(3)).max() <= tol)
-
-
 def cross2(u: np.ndarray, v: np.ndarray) -> complex:
     """Cross product on C^2: [u1 u2] x [v1 v2] = u1 v2 - u2 v1."""
     return u[0] * v[1] - u[1] * v[0]

@@ -27,7 +27,6 @@ from .transfer import (
     compact_support_condition,
     iota_inverse,
     lambda0_angle,
-    transfer_at,
     transfer_batch,
     zero_case_vectors,
 )
@@ -228,14 +227,29 @@ def _canonical(psi: StateVector) -> StateVector:
     return StateVector(unit.lo, unit.hi, amps)
 
 
-def _tail_lengths(rate_left: float, rate_right: float) -> tuple[int, int]:
-    # Sites needed before a geometric tail drops below _TAIL_CUTOFF.
-    def count(rate: float) -> int:
-        if rate <= 0.0 or rate >= 1.0 - 1e-12:
-            return 100_000
-        return int(np.ceil(np.log(_TAIL_CUTOFF) / np.log(rate)))
+def _tail_length(rate: float) -> int:
+    # Sites needed before a geometric tail of modulus ratio rate drops below _TAIL_CUTOFF.
+    if rate <= 0.0 or rate >= 1.0 - 1e-12:
+        return 100_000
+    return max(5, min(int(np.ceil(np.log(_TAIL_CUTOFF) / np.log(rate))), 100_000))
 
-    return max(5, min(count(rate_left), 100_000)), max(5, min(count(rate_right), 100_000))
+
+def _with_tails(
+    lo: int, hi: int, start: int, values, rate_left: complex, rate_right: complex
+) -> ReducedState:
+    """The reduced state on [lo, hi] holding values from site start on.
+
+    Beyond the last value it continues as rate_right**j times that value,
+    before the first as rate_left**-j times that one.
+    """
+    grid = np.zeros((hi - lo + 1, 2), dtype=complex)
+    first, last = start - lo, start - lo + len(values) - 1
+    grid[first : last + 1] = values
+    for j in range(1, hi - lo - last + 1):
+        grid[last + j] = (rate_right**j) * grid[last]
+    for j in range(1, first + 1):
+        grid[first - j] = (rate_left ** (-j)) * grid[first]
+    return ReducedState(lo, hi, grid)
 
 
 def build_eigenvector(
@@ -255,7 +269,7 @@ def build_eigenvector(
         raise ValueError(f"lam={lam!r} lies outside the allowed arcs")
     zg = spec_minus.zeta_greater
     zl = spec_plus.zeta_less
-    m_left, m_right = _tail_lengths(1.0 / abs(zg), abs(zl))
+    m_left, m_right = _tail_length(1.0 / abs(zg)), _tail_length(abs(zl))
     lo, hi = field.x_minus - m_left, field.x_plus + m_right
     if window is not None:
         if window[0] > lo or window[1] < hi:
@@ -264,16 +278,8 @@ def build_eigenvector(
                 f"(m_left={m_left}, m_right={m_right})"
             )
         lo, hi = window
-    values = np.zeros((hi - lo + 1, 2), dtype=complex)
-    values[field.x_minus - lo : field.x_plus - lo + 1] = _propagate(
-        field, lam, spec_minus.v_greater, field.x_minus, field.x_plus)
-    anchor_right = values[field.x_plus - lo].copy()
-    for j in range(1, hi - field.x_plus + 1):
-        values[field.x_plus + j - lo] = (zl**j) * anchor_right
-    anchor_left = values[field.x_minus - lo].copy()
-    for j in range(1, field.x_minus - lo + 1):
-        values[field.x_minus - j - lo] = (zg ** (-j)) * anchor_left
-    reduced = ReducedState(lo, hi, values)
+    values = _propagate(field, lam, spec_minus.v_greater, field.x_minus, field.x_plus)
+    reduced = _with_tails(lo, hi, field.x_minus, values, zg, zl)
     return _canonical(iota_inverse(reduced, field, lam))
 
 
@@ -406,60 +412,52 @@ def find_roots(
 # --- adjudication of the degenerate phases ---------------------------------
 
 
-def _right_tail(field: CoinField, lam: float) -> tuple[np.ndarray | None, str, complex]:
-    """Admissible direction of the reduced state at x_plus, seen from the right.
+def _tail(coin: CoinMatrix, lam: float, right: bool) -> tuple[np.ndarray | None, complex]:
+    """Admissible direction of the reduced state at a window edge, and its rate.
 
-    Returns (direction or None, "compact"|"geometric", decay rate). None means
-    only the zero tail is square-summable.
+    coin is the asymptotic coin beyond that edge: c_plus seen from the right
+    (right=True, direction at x_plus), c_minus seen from the left (at
+    x_minus). The rate is 0 for a compact tail. None means only the zero
+    tail is square-summable.
     """
-    coin = field.c_plus
     if a_zero(coin, lam):
-        left_vec, _ = zero_case_vectors(coin)
-        return (left_vec if np.linalg.norm(left_vec) > 0 else None), "compact", 0j
+        left_vec, right_vec = zero_case_vectors(coin)
+        vec = left_vec if right else right_vec
+        return (vec if np.linalg.norm(vec) > 0 else None), 0j
     spectrum = asymptotic_spectrum(coin, lam)
     if not spectrum.in_lambda:
-        return None, "geometric", 0j
-    return spectrum.v_less, "geometric", spectrum.zeta_less
-
-
-def _left_tail(field: CoinField, lam: float) -> tuple[np.ndarray | None, str, complex]:
-    """Admissible direction at x_minus, seen from the left."""
-    coin = field.c_minus
-    if a_zero(coin, lam):
-        _, right_vec = zero_case_vectors(coin)
-        return (right_vec if np.linalg.norm(right_vec) > 0 else None), "compact", 0j
-    spectrum = asymptotic_spectrum(coin, lam)
-    if not spectrum.in_lambda:
-        return None, "geometric", 0j
-    return spectrum.v_greater, "geometric", spectrum.zeta_greater
+        return None, 0j
+    if right:
+        return spectrum.v_less, spectrum.zeta_less
+    return spectrum.v_greater, spectrum.zeta_greater
 
 
 def _propagate(field: CoinField, lam: float, start: np.ndarray, x_from: int, x_to: int):
     """Apply the transfer chain over sites [x_from, x_to); None on a degenerate hit."""
+    el = np.exp(1j * lam)
     values = [start]
-    v = start
     for x in range(x_from, x_to):
-        data = transfer_at(field.lookup(x), lam)
-        if data.zero_flag:
+        (t00, t01, t10, t11), zero = transfer_batch(field.lookup(x), el)
+        if zero:
             return None
-        v = data.matrix @ v
-        values.append(v)
+        values.append(np.array([[t00, t01], [t10, t11]]) @ values[-1])
     return values
 
 
-def _segment_solutions(field: CoinField, lam: float) -> list[tuple[int, list[np.ndarray]]]:
+def _segment_solutions(
+    field: CoinField, lam: float, v_left: np.ndarray | None, v_right: np.ndarray | None
+) -> list[tuple[int, list[np.ndarray]]]:
     """Nonzero solutions of the rank-one constraint chain at a degenerate phase.
 
     The window splits into segments at the sites whose transfer matrix cannot
     be built. Each segment is anchored on a one-dimensional subspace at its
-    left end (the boundary tail direction, or the rank-one direction handed
-    over by the break on its left) and must land, after the transfer chain, on
-    the subspace required at its right end. Every viable segment yields an
-    independent eigenvector; segments are returned as (start position, values).
+    left end (the boundary tail direction v_left, or the rank-one direction
+    handed over by the break on its left) and must land, after the transfer
+    chain, on the subspace required at its right end (v_right for the last).
+    Every viable segment yields an independent eigenvector; segments are
+    returned as (start position, values).
     """
     xm, xp = field.x_minus, field.x_plus
-    v_left, _, _ = _left_tail(field, lam)
-    v_right, _, _ = _right_tail(field, lam)
     breaks = [x for x in range(xm, xp) if a_zero(field.lookup(x), lam)]
 
     segments: list[tuple[int, np.ndarray | None, int, np.ndarray | None]] = []
@@ -530,16 +528,15 @@ def _lambda0_solution(
 
     # Compact bump strictly inside an asymptotic region: possible only when
     # that region's coin pins both neighbouring constraints to one direction.
-    if a_zero(field.c_plus, lam) and compact_support_condition(field.c_plus):
-        direction, _ = zero_case_vectors(field.c_plus)
-        if np.linalg.norm(direction) > 0:
-            return ReducedState(xp + 1, xp + 1, direction[None, :]), 0j, 0j
-    if a_zero(field.c_minus, lam) and compact_support_condition(field.c_minus):
-        direction, _ = zero_case_vectors(field.c_minus)
-        if np.linalg.norm(direction) > 0:
-            return ReducedState(xm - 1, xm - 1, direction[None, :]), 0j, 0j
+    for coin, x in ((field.c_plus, xp + 1), (field.c_minus, xm - 1)):
+        if a_zero(coin, lam) and compact_support_condition(coin):
+            direction, _ = zero_case_vectors(coin)
+            if np.linalg.norm(direction) > 0:
+                return ReducedState(x, x, direction[None, :]), 0j, 0j
 
-    solutions = _segment_solutions(field, lam)
+    v_left, rate_left = _tail(field.c_minus, lam, right=False)
+    v_right, rate_right = _tail(field.c_plus, lam, right=True)
+    solutions = _segment_solutions(field, lam, v_left, v_right)
     if not solutions:
         return None
     if len(solutions) > 1:
@@ -547,25 +544,13 @@ def _lambda0_solution(
                  "solutions; building the leftmost", lam, len(solutions))
     start, values = solutions[0]
     end = start + len(values) - 1
-
-    _, kind_left, rate_left = _left_tail(field, lam)
-    _, kind_right, rate_right = _right_tail(field, lam)
-    m_left = m_right = 0
-    if not (start == xm and kind_left == "geometric" and np.linalg.norm(values[0]) > 0):
+    # a geometric tail continues the solution only where it reaches a window
+    # edge; where it ends at a break it stops there (compact on that side)
+    if start != xm:
         rate_left = 0j
-    if not (end == xp and kind_right == "geometric" and np.linalg.norm(values[-1]) > 0):
+    if end != xp:
         rate_right = 0j
-    if rate_left:
-        m_left, _ = _tail_lengths(1.0 / abs(rate_left), 1.0)
-    if rate_right:
-        _, m_right = _tail_lengths(1.0, abs(rate_right))
-
-    lo, hi = start - m_left, end + m_right
-    grid = np.zeros((hi - lo + 1, 2), dtype=complex)
-    for i, v in enumerate(values):
-        grid[start - lo + i] = v
-    for j in range(1, m_right + 1):
-        grid[end - lo + j] = (rate_right**j) * values[-1]
-    for j in range(1, m_left + 1):
-        grid[start - lo - j] = (rate_left ** (-j)) * values[0]
-    return ReducedState(lo, hi, grid), rate_left, rate_right
+    m_left = _tail_length(1.0 / abs(rate_left)) if rate_left else 0
+    m_right = _tail_length(abs(rate_right)) if rate_right else 0
+    reduced = _with_tails(start - m_left, end + m_right, start, values, rate_left, rate_right)
+    return reduced, rate_left, rate_right

@@ -33,26 +33,6 @@ MODULUS_TOL = 1e-10
 COMPACT_TOL = 1e-10
 
 
-def abcd_closed(coin: CoinMatrix, lam: float) -> tuple[complex, complex, complex, complex]:
-    """Unitarity-simplified closed forms of the coupling coefficients.
-
-    Each coefficient is a two-term numerator over e^{i lam} - a22, e.g.
-    A = (a11 e^{i lam} - e^{i Delta} conj(a33)) / (e^{i lam} - a22). It agrees
-    with the rational form A = a11 + a12 a21 / (e^{i lam} - a22) and its cyclic
-    analogues to machine precision.
-    """
-    m = coin.mat
-    el = np.exp(1j * lam)
-    ed = coin.det_unit
-    den = el - m[1, 1]
-    return (
-        (m[0, 0] * el - ed * np.conj(m[2, 2])) / den,
-        (m[0, 2] * el + ed * np.conj(m[2, 0])) / den,
-        (m[2, 0] * el + ed * np.conj(m[0, 2])) / den,
-        (m[2, 2] * el - ed * np.conj(m[0, 0])) / den,
-    )
-
-
 def _divisor(coin: CoinMatrix, el):
     """a11 e^{i lam} - e^{i Delta} conj(a33), and where it vanishes to ZERO_TOL."""
     m = coin.mat
@@ -61,7 +41,7 @@ def _divisor(coin: CoinMatrix, el):
 
 
 def transfer_batch(coin: CoinMatrix, el):
-    """Closed-form transfer matrices of a coin at an array of e^{i lam}.
+    """Closed-form transfer matrices of a coin at e^{i lam}, a scalar or an array.
 
     T = [[e^{i lam}(e^{i lam} - a22), -a13 e^{i lam} - e^{i Delta} conj(a31)],
          [a31 e^{i lam} + e^{i Delta} conj(a13), -e^{i Delta}(e^{-i lam} - conj(a22))]]
@@ -103,31 +83,6 @@ def lambda0_angle(coin: CoinMatrix) -> float | None:
                     "degenerate phase exists")
         return None
     return float(np.angle(coin.det_unit * np.conj(m[2, 2]) / m[0, 0]) % TAU)
-
-
-@dataclass(frozen=True)
-class TransferData:
-    """Transfer matrix and coupling coefficients of one coin at one eigenphase.
-
-    matrix is None exactly when zero_flag is set (the 1/A prefactor blows up).
-    """
-
-    lam: float
-    A: complex
-    B: complex
-    C: complex
-    D: complex
-    matrix: np.ndarray | None
-    zero_flag: bool
-
-
-def transfer_at(coin: CoinMatrix, lam: float) -> TransferData:
-    """transfer_batch at one eigenphase, with the coupling coefficients."""
-    A, B, C, D = abcd_closed(coin, lam)
-    (t00, t01, t10, t11), zero = transfer_batch(coin, np.exp(1j * lam))
-    if zero:
-        return TransferData(lam, A, B, C, D, None, True)
-    return TransferData(lam, A, B, C, D, np.array([[t00, t01], [t10, t11]]), False)
 
 
 def zero_case_vectors(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray]:

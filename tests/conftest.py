@@ -3,7 +3,7 @@ import pytest
 
 from qw3.coin import CoinMatrix
 from qw3.evolution import StateVector
-from qw3.transfer import ReducedState
+from qw3.transfer import ReducedState, transfer_batch
 
 THETAS = (np.pi / 12, 3 * np.pi / 12, 7 * np.pi / 12, 11 * np.pi / 12)
 
@@ -28,7 +28,7 @@ def abcd(coin: CoinMatrix, lam: float) -> tuple[complex, complex, complex, compl
 
     A = a11 + a12 a21 / (e^{i lam} - a22) and cyclic analogues; the common
     denominator never vanishes because |a22| != 1 for a valid coin. The
-    oracle for the unitarity-simplified qw3.transfer.abcd_closed.
+    oracle for the unitarity-simplified closed form in qw3.transfer.transfer_batch.
     """
     m = coin.mat
     den = np.exp(1j * lam) - m[1, 1]
@@ -38,6 +38,12 @@ def abcd(coin: CoinMatrix, lam: float) -> tuple[complex, complex, complex, compl
         m[2, 0] + m[2, 1] * m[1, 0] / den,
         m[2, 2] + m[2, 1] * m[1, 2] / den,
     )
+
+
+def transfer_matrix(coin: CoinMatrix, lam: float) -> np.ndarray | None:
+    """qw3.transfer.transfer_batch at one phase as a 2x2 matrix; None where it degenerates."""
+    (t00, t01, t10, t11), zero = transfer_batch(coin, np.exp(1j * lam))
+    return None if zero else np.array([[t00, t01], [t10, t11]])
 
 
 def iota(state: StateVector) -> ReducedState:

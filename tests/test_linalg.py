@@ -1,7 +1,6 @@
 import numpy as np
 
-from qw3.coin import make_fourier
-from qw3.linalg import TAU, branch_sqrt, cross2, eig2, mat3_is_unitary, phase_fix
+from qw3.linalg import TAU, branch_sqrt, cross2, eig2, phase_fix
 
 from conftest import random_unitary
 
@@ -93,14 +92,6 @@ def test_eig2_eigenvector_residual(rng):
             continue
         for z, v in ((pairs.zeta_plus, pairs.v_plus), (pairs.zeta_minus, pairs.v_minus)):
             assert np.linalg.norm(m @ v - z * v) <= 1e-10 * max(1.0, np.abs(m).max())
-
-
-def test_mat3_is_unitary():
-    assert mat3_is_unitary(np.eye(3, dtype=complex), 1e-10)
-    assert mat3_is_unitary(make_fourier().mat, 1e-10)
-    broken = make_fourier().mat.copy()
-    broken[0, 0] *= 2.0
-    assert not mat3_is_unitary(broken, 1e-10)
 
 
 def test_matmul_associative_on_unit_norm(rng):

@@ -5,15 +5,13 @@ from qw3.linalg import TAU, cross2
 from qw3.transfer import (
     ReducedState,
     a_zero,
-    abcd_closed,
     compact_support_condition,
     iota_inverse,
     lambda0_angle,
-    transfer_at,
     zero_case_vectors,
 )
 
-from conftest import abcd, iota, random_coin
+from conftest import abcd, iota, random_coin, transfer_matrix
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -46,29 +44,13 @@ def test_abcd_determinant_identity(rng):
         assert abs(A * D - B * Cc - expected) < 1e-12
 
 
-def test_abcd_closed_matches_rational(rng):
-    for _ in range(300):
-        c = random_coin(rng)
-        lam = rng.uniform(0, TAU)
-        raw = abcd(c, lam)
-        closed = abcd_closed(c, lam)
-        for x, y in zip(raw, closed):
-            assert abs(x - y) <= 1e-12 * max(1.0, abs(x))
-
-
-def test_abcd_closed_matches_rational_fourier_zero_phase():
-    raw = abcd(make_fourier(), 0.0)
-    closed = abcd_closed(make_fourier(), 0.0)
-    assert max(abs(x - y) for x, y in zip(raw, closed)) < 1e-12
-
-
 def test_transfer_unit_determinant(rng):
     for _ in range(1000):
         c = random_coin(rng)
-        data = transfer_at(c, rng.uniform(0, TAU))
-        if data.zero_flag:
+        t = transfer_matrix(c, rng.uniform(0, TAU))
+        if t is None:
             continue
-        assert abs(abs(np.linalg.det(data.matrix)) - 1.0) <= 1e-10
+        assert abs(abs(np.linalg.det(t)) - 1.0) <= 1e-10
 
 
 def test_coupling_moduli_match(rng):
@@ -82,10 +64,9 @@ def test_coupling_moduli_match(rng):
 def test_trace_conjugation_identity(rng):
     # tr T = det T * conj(tr T)
     for _ in range(1000):
-        data = transfer_at(random_coin(rng), rng.uniform(0, TAU))
-        if data.zero_flag:
+        t = transfer_matrix(random_coin(rng), rng.uniform(0, TAU))
+        if t is None:
             continue
-        t = data.matrix
         tr = t[0, 0] + t[1, 1]
         det = np.linalg.det(t)
         assert abs(tr - det * np.conj(tr)) <= 1e-10 * max(1.0, abs(tr))
@@ -96,15 +77,15 @@ def test_simplified_matches_raw_construction(rng):
     for _ in range(1000):
         c = random_coin(rng)
         lam = rng.uniform(0, TAU)
-        data = transfer_at(c, lam)
-        if data.zero_flag or abs(data.A) <= 1e-6:
-            continue
+        t = transfer_matrix(c, lam)
         A, B, Cc, D = abcd(c, lam)
+        if t is None or abs(A) <= 1e-6:
+            continue
         el = np.exp(1j * lam)
         raw = np.array(
             [[el, -B], [Cc, -np.conj(el) * (B * Cc - A * D)]], dtype=complex
         ) / A
-        assert np.abs(data.matrix - raw).max() <= 1e-10
+        assert np.abs(t - raw).max() <= 1e-10
 
 
 def test_a_zero_forces_d_zero(rng):
@@ -127,8 +108,7 @@ def test_a_zero_only_near_the_degenerate_phase():
     assert abs(lam0 - 5 * np.pi / 6) < 1e-12
     assert a_zero(c, lam0)
     assert not a_zero(c, lam0 + 1e-3)
-    assert transfer_at(c, lam0).zero_flag
-    assert transfer_at(c, lam0).matrix is None
+    assert transfer_matrix(c, lam0) is None
 
 
 def test_lambda0_angle_shifts_with_global_phase(rng):
@@ -244,7 +224,7 @@ def test_iota_inverse_of_transfer_chain_is_eigenvector():
     v = spec_minus.v_greater
     values[field.x_minus - lo] = v
     for x in range(field.x_minus, field.x_plus):
-        v = transfer_at(field.lookup(x), lam).matrix @ v
+        v = transfer_matrix(field.lookup(x), lam) @ v
         values[x + 1 - lo] = v
     for j in range(1, m + 1):
         values[field.x_plus + j - lo] = (spec_plus.zeta_less**j) * values[field.x_plus - lo]
@@ -254,6 +234,5 @@ def test_iota_inverse_of_transfer_chain_is_eigenvector():
 
 
 def test_transfer_raises_nothing_on_zero_flag_state():
-    data = transfer_at(make_grover(), 0.0)
-    assert data.zero_flag and data.matrix is None
-    assert abs(data.A) < 1e-12
+    assert transfer_matrix(make_grover(), 0.0) is None
+    assert abs(abcd(make_grover(), 0.0)[0]) < 1e-12
