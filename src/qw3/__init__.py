@@ -36,7 +36,6 @@ from .spectral import (
     EigenvalueRecord,
     RootScan,
     build_eigenvector,
-    chi,
     find_roots,
     lambda0_adjudicate,
     lambda0_set,
@@ -53,7 +52,6 @@ __all__ = [
     "StateVector",
     "apply_u",
     "build_eigenvector",
-    "chi",
     "default_initial_state",
     "evolve",
     "field_homogeneous",

@@ -32,11 +32,11 @@ from .coin import (
     serialize_field,
 )
 from .evolution import SimulationError, StateVector, default_initial_state, evolve
-from .linalg import angle_dist
+from .linalg import TAU, angle_dist
 from .spectral import (
     EigenvalueRecord,
+    chi_batch,
     find_roots,
-    grid_samples,
     lambda0_adjudicate,
     lambda0_set,
 )
@@ -123,12 +123,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     field = _resolve_field(args)
+    lams = np.arange(args.grid) * (TAU / args.grid)
+    values, in_lambda, near = chi_batch(field, lams, lambda0_set(field))
     lines = ["lambda,abs_chi,in_lambda,near_lambda0"]
-    for sample in grid_samples(field, args.grid):
-        value = "" if sample.value is None else _fmt(abs(sample.value))
-        lines.append(
-            f"{_fmt(sample.lam)},{value},{int(sample.in_lambda)},{int(sample.near_lambda0)}"
-        )
+    for lam, value, inside, guarded in zip(lams, values, in_lambda, near):
+        abs_chi = "" if np.isnan(value) else _fmt(abs(value))
+        lines.append(f"{_fmt(lam)},{abs_chi},{int(inside)},{int(guarded)}")
     out = Path(args.out)
     _write_atomic(out, "\n".join(lines) + "\n")
     _write_atomic(
@@ -282,6 +282,11 @@ def _build_parser() -> argparse.ArgumentParser:
             help="phase of the defect/right-half coin (presets only)",
         )
 
+    def add_search_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--grid", type=int, default=4000)
+        p.add_argument("--refine-tol", type=float, default=1e-12, dest="refine_tol",
+                       help="stop refining a root once its secant step is this small (rad)")
+
     p = sub.add_parser("validate", help="check a configuration and report its shape")
     add_model_flags(p)
     p.set_defaults(func=cmd_validate)
@@ -294,15 +299,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="locate and certify all eigenvalues (JSON)")
     add_model_flags(p)
-    p.add_argument("--grid", type=int, default=4000)
-    p.add_argument("--refine-tol", type=float, default=1e-12, dest="refine_tol")
+    add_search_flags(p)
     p.add_argument("--out", required=True, metavar="PATH")
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("eigvec", help="export one eigenvector (CSV)")
     add_model_flags(p)
-    p.add_argument("--grid", type=int, default=4000)
-    p.add_argument("--refine-tol", type=float, default=1e-12, dest="refine_tol")
+    add_search_flags(p)
     p.add_argument("--lambda", type=float, required=True, dest="lam",
                    help="eigenphase of an accepted root")
     p.add_argument("--out", required=True, metavar="PATH")

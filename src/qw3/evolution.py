@@ -85,8 +85,11 @@ def default_initial_state(half_width: int) -> StateVector:
     return StateVector(-half_width, half_width, amps)
 
 
-def _coin_stack(field: CoinField, lo: int, hi: int) -> np.ndarray:
-    return np.array([field.lookup(x).mat for x in range(lo, hi + 1)])
+def coin_stack(field: CoinField, lo: int, hi: int) -> np.ndarray:
+    """The coins of sites lo..hi as one (hi - lo + 1, 3, 3) array."""
+    table = np.array([c.mat for c in (field.c_minus, *field.defects, field.c_plus)])
+    xs = np.arange(lo - field.x_minus + 1, hi - field.x_minus + 2)
+    return table[np.clip(xs, 0, len(field.defects) + 1)]
 
 
 def _step(coins: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -103,7 +106,7 @@ def apply_u(field: CoinField, psi: StateVector) -> StateVector:
     norms = psi.site_norms()
     edge = max(norms[0], norms[-1]) if norms.size else 0.0
     leaked = psi.leaked or edge > LEAK_TOL
-    coins = _coin_stack(field, psi.lo, psi.hi)
+    coins = coin_stack(field, psi.lo, psi.hi)
     return StateVector(psi.lo, psi.hi, _step(coins, psi.amps), leaked)
 
 
@@ -127,7 +130,7 @@ def _require_margin(psi0: StateVector, steps: int) -> None:
 def _run(field: CoinField, psi0: StateVector, steps: int):
     """The amplitudes at times 1..steps. The window must clear the light cone."""
     _require_margin(psi0, steps)
-    coins = _coin_stack(field, psi0.lo, psi0.hi)
+    coins = coin_stack(field, psi0.lo, psi0.hi)
     amps = psi0.amps
     for _ in range(steps):
         amps = _step(coins, amps)

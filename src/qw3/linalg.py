@@ -47,30 +47,34 @@ class Eig2:
     degenerate: bool
 
 
-def _norm(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:  # np.linalg.norm's sum order
+def _norm(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
     return np.sqrt((u0.real * u0.real + u1.real * u1.real)
                    + (u0.imag * u0.imag + u1.imag * u1.imag))
 
 
 def _eigenvector(m00, m01, m10, m11, zeta, floor):
-    # Kernel of (m - zeta I); both candidate rows are tried and the better
-    # conditioned one kept. ok is False where even that one is negligible.
+    # Kernel of (m - zeta I), not normalised, read off the first row unless
+    # the second is more than twice as well conditioned. (Where the two tie,
+    # as they do for every phase of the Fourier coin, picking the larger one
+    # would switch rows on rounding noise, and the vector would jump by a
+    # unit factor.) ok is False where even the chosen row is negligible.
     r0, r1 = zeta - m00, zeta - m11
     n1, n2 = _norm(m01, r0), _norm(r1, m10)
-    first = n1 >= n2
-    n = np.where(first, n1, n2)
+    first = 2.0 * n1 >= n2
     v = np.stack([np.where(first, m01, r1), np.where(first, r0, m10)], axis=-1)
-    return v / np.where(n > floor, n, 1.0)[:, None], n > floor
+    return v, np.where(first, n1, n2) > floor
 
 
 def eig2_batch(m00, m01, m10, m11) -> Eig2:
-    """Eigenvalues and unit eigenvectors of a stack of 2x2 complex matrices.
+    """Eigenvalues and eigenvectors of a stack of 2x2 complex matrices.
 
     The matrices are given entry by entry as arrays of shape (n,). zeta_plus
     and zeta_minus use the + and - branch of
-    (tr +/- branch_sqrt(tr^2 - 4 det)) / 2. A (numerically) repeated
-    eigenvalue sets the degenerate flag; a defective matrix then reports the
-    single eigendirection for both vectors.
+    (tr +/- branch_sqrt(tr^2 - 4 det)) / 2. Each eigenvector is read off one
+    row of (m - zeta I) and left unnormalised, so that it is analytic in the
+    entries wherever zeta is. A (numerically) repeated eigenvalue sets the
+    degenerate flag; a defective matrix then reports the single
+    eigendirection for both vectors.
     """
     tr = m00 + m11
     det = m00 * m11 - m01 * m10
@@ -89,9 +93,15 @@ def eig2_batch(m00, m01, m10, m11) -> Eig2:
 
 
 def eig2(m: np.ndarray) -> Eig2:
-    """eig2_batch for a single 2x2 matrix."""
+    """eig2_batch for a single 2x2 matrix, with unit eigenvectors."""
     p = eig2_batch(*np.asarray(m, dtype=complex).reshape(4, 1))
-    return Eig2(p.zeta_plus[0], p.zeta_minus[0], p.v_plus[0], p.v_minus[0], bool(p.degenerate[0]))
+    return Eig2(p.zeta_plus[0], p.zeta_minus[0], unit(p.v_plus[0]), unit(p.v_minus[0]),
+                bool(p.degenerate[0]))
+
+
+def unit(v: np.ndarray) -> np.ndarray:
+    """v scaled to unit norm."""
+    return v / np.linalg.norm(v)
 
 
 def cross2(u: np.ndarray, v: np.ndarray) -> complex:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .coin import CoinField, CoinMatrix
 from .evolution import StateVector, apply_u
-from .linalg import TAU, angle_dist, cross2, eig2_batch, phase_fix
+from .linalg import TAU, angle_dist, cross2, eig2_batch, phase_fix, unit
 from .transfer import (
     ReducedState,
     a_zero,
@@ -37,8 +37,9 @@ log = logging.getLogger(__name__)
 # allowed arcs; the boundary band has measure zero and carries no roots.
 TR_TOL = 1e-9
 
-# A refined |chi| minimum at or below this value is accepted as a root.
-CHI_ACCEPT = 1e-8
+# A converged secant run is a root candidate when it ends this close to the
+# real axis (in phase units): a unitary walk has no eigenvalue off the circle.
+IM_TOL = 1e-9
 
 # Scan guard radius around the degenerate phases (transfer matrix blows up
 # as its leading coefficient vanishes, poisoning refinement).
@@ -53,7 +54,7 @@ DECAY_MARGIN = 1e-6
 # Two unit vectors are considered parallel when |cross| is below this.
 PARALLEL_TOL = 1e-10
 
-_GOLDEN_MAX_ITER = 200
+_SECANT_MAX_ITER = 60
 _TAIL_CUTOFF = 1e-12
 
 
@@ -62,9 +63,11 @@ class AsymptoticSpectrum:
     """Spectral data of one coin's transfer matrix at one phase.
 
     zeta_less / zeta_greater are the eigenvalues with modulus <= 1 and >= 1
-    (their product has unit modulus); in_lambda reports |tr| > 2 + TR_TOL,
-    the open condition under which the moduli split strictly and decaying
-    tails exist. _asymptotic_batch fills the fields with arrays over phases.
+    (their product has unit modulus) and v_less / v_greater their
+    eigenvectors; in_lambda reports |tr| > 2 + TR_TOL, the open condition
+    under which the moduli split strictly and decaying tails exist.
+    _asymptotic_batch fills the fields with arrays over phases and leaves the
+    vectors unnormalised; asymptotic_spectrum gives unit vectors.
     """
 
     zeta_less: complex
@@ -102,8 +105,8 @@ def asymptotic_spectrum(coin: CoinMatrix, lam: float) -> AsymptoticSpectrum:
             f"transfer matrix degenerates at lam={lam!r}; this phase belongs to "
             "the exceptional set and must be adjudicated separately"
         )
-    return AsymptoticSpectrum(spec.zeta_less[0], spec.zeta_greater[0], spec.v_less[0],
-                              spec.v_greater[0], bool(spec.in_lambda[0]))
+    return AsymptoticSpectrum(spec.zeta_less[0], spec.zeta_greater[0], unit(spec.v_less[0]),
+                              unit(spec.v_greater[0]), bool(spec.in_lambda[0]))
 
 
 def lambda0_set(field: CoinField) -> list[float]:
@@ -118,20 +121,6 @@ def lambda0_set(field: CoinField) -> list[float]:
     return sorted(angles)
 
 
-@dataclass(frozen=True)
-class ChiSample:
-    """chi evaluated at one phase, with validity flags.
-
-    value is None off the allowed arcs, and where a transfer matrix in the
-    chain cannot be built (only next to a degenerate phase).
-    """
-
-    lam: float
-    value: complex | None
-    in_lambda: bool
-    near_lambda0: bool
-
-
 def chi_batch(
     field: CoinField, lams: np.ndarray, lambda0_angles: list[float] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,16 +129,18 @@ def chi_batch(
     chi(lam) = (T_{x_plus} ... T_{x_minus} v_greater(-inf)) x v_less(+inf),
     the ordered transfer product over the window (a loop over sites, each
     step applied to all phases at once) applied to the left tail's growing
-    eigendirection, crossed against the right tail's decaying one. Its zeros
-    on the allowed arcs are the eigenphases. A value is NaN where chi is
-    undefined: off the arcs, or where a transfer matrix in the chain cannot
-    be built (which marks the phase near_lambda0).
+    eigenvector, crossed against the right tail's decaying one. Its zeros on
+    the allowed arcs are the eigenphases. The tail eigenvectors are not
+    normalised, and each eigenvalue is picked by modulus, so chi is analytic
+    in a complex lam near the arcs; near_lambda0 is decided by Re lam. A
+    value is NaN where chi is undefined: off the arcs, or where a transfer
+    matrix in the chain cannot be built (which marks the phase near_lambda0).
     """
     if lambda0_angles is None:
         lambda0_angles = lambda0_set(field)
     near = np.zeros(lams.shape, dtype=bool)
     for g in lambda0_angles:
-        near |= angle_dist(lams, g) < LAMBDA0_GUARD
+        near |= angle_dist(lams.real, g) < LAMBDA0_GUARD
     el = np.exp(1j * lams)
     spec_minus, zero_minus = _asymptotic_batch(field.c_minus, el)
     spec_plus, zero_plus = _asymptotic_batch(field.c_plus, el)
@@ -170,24 +161,15 @@ def chi_batch(
     return values, in_lambda, near
 
 
-def chi(
-    field: CoinField, lam: float, lambda0_angles: list[float] | None = None
-) -> ChiSample:
-    """chi_batch at one phase."""
-    values, in_lambda, near = chi_batch(field, np.array([lam]), lambda0_angles)
-    value = None if np.isnan(values[0]) else values[0]
-    return ChiSample(lam, value, bool(in_lambda[0]), bool(near[0]))
-
-
 @dataclass(frozen=True)
 class EigenvalueRecord:
     """One certified point-spectrum member e^{i lam} with its eigenvector.
 
     zeta_right is the geometric decay rate for x >= x_plus and zeta_left the
     growth rate governing the left tail; both are 0 for purely compact
-    (finitely supported) eigenvectors. chi_residual is |chi| at the refined
-    root (0 for records found by the degenerate-phase adjudication, where chi
-    is not defined). op_residual is ||U psi - e^{i lam} psi|| with U applied
+    (finitely supported) eigenvectors. chi_residual is |chi_batch| at the
+    refined root (0 for records found by the degenerate-phase adjudication,
+    where chi is not defined). op_residual is ||U psi - e^{i lam} psi|| with U applied
     by the direct simulator.
     """
 
@@ -245,10 +227,8 @@ def _with_tails(
     grid = np.zeros((hi - lo + 1, 2), dtype=complex)
     first, last = start - lo, start - lo + len(values) - 1
     grid[first : last + 1] = values
-    for j in range(1, hi - lo - last + 1):
-        grid[last + j] = (rate_right**j) * grid[last]
-    for j in range(1, first + 1):
-        grid[first - j] = (rate_left ** (-j)) * grid[first]
+    grid[last + 1 :] = rate_right ** np.arange(1, hi - lo - last + 1)[:, None] * grid[last]
+    grid[:first] = rate_left ** -np.arange(first, 0, -1)[:, None] * grid[first]
     return ReducedState(lo, hi, grid)
 
 
@@ -267,8 +247,16 @@ def build_eigenvector(
     spec_plus = asymptotic_spectrum(field.c_plus, lam)
     if not (spec_minus.in_lambda and spec_plus.in_lambda):
         raise ValueError(f"lam={lam!r} lies outside the allowed arcs")
-    zg = spec_minus.zeta_greater
-    zl = spec_plus.zeta_less
+    values, _ = _propagate(field, np.exp(1j * lam), spec_minus.v_greater,
+                           field.x_minus, field.x_plus)
+    return _lift(field, lam, values, spec_minus.zeta_greater, spec_plus.zeta_less, window)
+
+
+def _lift(
+    field: CoinField, lam: float, values: np.ndarray, zg: complex, zl: complex,
+    window: tuple[int, int] | None = None,
+) -> StateVector:
+    """build_eigenvector from the window values and the two tail rates."""
     m_left, m_right = _tail_length(1.0 / abs(zg)), _tail_length(abs(zl))
     lo, hi = field.x_minus - m_left, field.x_plus + m_right
     if window is not None:
@@ -278,64 +266,52 @@ def build_eigenvector(
                 f"(m_left={m_left}, m_right={m_right})"
             )
         lo, hi = window
-    values = _propagate(field, lam, spec_minus.v_greater, field.x_minus, field.x_plus)
     reduced = _with_tails(lo, hi, field.x_minus, values, zg, zl)
     return _canonical(iota_inverse(reduced, field, lam))
 
 
-def _golden_min(f, a: np.ndarray, b: np.ndarray, tol: float):
-    """Golden-section search on every bracket [a_k, b_k] in lockstep, in place.
+def _secant(f, x0: np.ndarray, x1: np.ndarray, tol: float):
+    """Complex secant iterations from every pair (x0_k, x1_k) in lockstep, in place.
 
-    f maps an array of points to an array of values. Each bracket stops once
-    narrower than tol, so it visits the same points as a search of its own.
-    Returns the midpoints, f there, and which converged within the cap.
+    f maps an array of complex points to an array of values, NaN where it is
+    undefined. A run converges once its step is at most tol, and fails where
+    it meets an undefined value or two equal ones. Returns the end points,
+    which runs converged, and which were still running at the cap.
     """
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - (b - a) * invphi
-    d = a + (b - a) * invphi
-    fc, fd = np.split(f(np.concatenate([c, d])), 2)
-    for _ in range(_GOLDEN_MAX_ITER):
-        done = b - a <= tol
-        if done.all():
+    f0, f1 = np.split(f(np.concatenate([x0, x1])), 2)
+    converged = np.zeros(x1.shape, dtype=bool)
+    running = ~np.isnan(f0) & ~np.isnan(f1)
+    for _ in range(_SECANT_MAX_ITER):
+        k = np.flatnonzero(running)
+        if not k.size:
             break
-        active = np.flatnonzero(~done)
-        to_left = fc[active] < fd[active]
-        lo, hi = active[to_left], active[~to_left]
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = b[lo] - (b[lo] - a[lo]) * invphi
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = a[hi] + (b[hi] - a[hi]) * invphi
-        fc[lo], fd[hi] = np.split(f(np.concatenate([c[lo], d[hi]])), [len(lo)])
-    x = 0.5 * (a + b)
-    return x, f(x), done
-
-
-def grid_samples(field: CoinField, grid_n: int) -> list[ChiSample]:
-    """chi on the uniform grid over [0, 2pi)."""
-    samples = zip(*_grid_samples(field, grid_n, lambda0_set(field)))
-    return [ChiSample(float(lam), None if np.isnan(v) else v, bool(i), bool(n))
-            for lam, v, i, n in samples]
-
-
-def _grid_samples(field: CoinField, grid_n: int, guards: list[float]):
-    """(phases, *chi_batch) on the uniform grid of grid_n phases over [0, 2pi)."""
-    lams = np.arange(grid_n) * (TAU / grid_n)
-    return (lams, *chi_batch(field, lams, guards))
+        df = f1[k] - f0[k]
+        running[k[df == 0]] = False
+        k, df = k[df != 0], df[df != 0]
+        step = f1[k] * (x1[k] - x0[k]) / df
+        x0[k], f0[k] = x1[k], f1[k]
+        x1[k] -= step
+        done = np.abs(step) <= tol
+        converged[k[done]] = True
+        running[k[done]] = False
+        k = k[~done]
+        f1[k] = f(x1[k])
+        running[k] = ~np.isnan(f1[k])
+    return x1, converged, running
 
 
 def _make_record(
-    field: CoinField, lam: float, chi_abs: float, diagnostics: list[dict]
+    field: CoinField, lam: float, chi_abs: float, values: np.ndarray, zg: complex,
+    zl: complex, diagnostics: list[dict],
 ) -> EigenvalueRecord | None:
-    spec_minus = asymptotic_spectrum(field.c_minus, lam)
-    spec_plus = asymptotic_spectrum(field.c_plus, lam)
-    zl, zg = spec_plus.zeta_less, spec_minus.zeta_greater
+    """Certify a root from its window values and tail rates, or report why not."""
     if abs(zl) > 1.0 - DECAY_MARGIN or abs(zg) < 1.0 + DECAY_MARGIN:
         diagnostics.append(
             {"kind": "marginal-decay", "lambda": lam,
              "zeta_right_abs": abs(zl), "zeta_left_abs": abs(zg)}
         )
         return None
-    psi = build_eigenvector(field, lam)
+    psi = _lift(field, lam, values, zg, zl)
     residual = operator_residual(field, lam, psi)
     if residual > RESIDUAL_TOL:
         diagnostics.append(
@@ -348,62 +324,61 @@ def _make_record(
 def find_roots(
     field: CoinField, grid_n: int = 4000, refine_tol: float = 1e-12
 ) -> RootScan:
-    """Locate all eigenphases on the allowed arcs by scanning |chi|.
+    """Locate all eigenphases on the allowed arcs as the real zeros of chi.
 
     Samples chi on a uniform grid over [0, 2pi) restricted to the allowed
-    arcs (excluding a guard around the degenerate phases), brackets each local
-    minimum of |chi|^2, narrows it by golden-section search to width
-    refine_tol, and accepts the minimizer as a root iff |chi| <= CHI_ACCEPT
-    there. Each accepted root is certified by reconstructing its eigenvector
-    and checking the one-step residual against the direct simulator.
+    arcs (excluding a guard around the degenerate phases) and seeds a complex
+    secant run at each local minimum of |chi|, an unusable neighbour counting
+    as infinite. A run stops once its step is at most refine_tol; it is a root
+    iff it then lies within IM_TOL of the real axis. Runs that meet an
+    undefined chi end as non-roots, and roots closer than 1e-9 are merged.
+    Each root is certified by reconstructing its eigenvector and checking the
+    one-step residual against the direct simulator.
     """
     if grid_n < 1000:
         raise ValueError("grid_n must be at least 1000")
     if refine_tol <= 0:
         raise ValueError("refine_tol must be positive")
     guards = lambda0_set(field)
-    lams, values, in_lambda, near = _grid_samples(field, grid_n, guards)
-    ok = ~np.isnan(values) & in_lambda & ~near
-    y = np.where(ok, np.abs(values) ** 2, np.inf)
+    lams = np.arange(grid_n) * (TAU / grid_n)
+    values, _, near = chi_batch(field, lams, guards)
+    y = np.where(~np.isnan(values) & ~near, np.abs(values), np.inf)
+    minima = np.flatnonzero((y < np.inf) & (y <= np.roll(y, 1)) & (y <= np.roll(y, -1)))
 
-    def objective(t: np.ndarray) -> np.ndarray:
-        values, in_lambda, _ = chi_batch(field, t % TAU, guards)
-        return np.where(in_lambda & ~np.isnan(values), np.abs(values) ** 2, np.inf)
+    def chi_at(z: np.ndarray) -> np.ndarray:
+        values, _, near = chi_batch(field, z, guards)
+        return np.where(near, np.nan, values)
 
-    # local minima of |chi|^2 whose grid neighbours are both usable
-    minima = np.flatnonzero(
-        ok & np.roll(ok, 1) & np.roll(ok, -1) & (y <= np.roll(y, 1)) & (y <= np.roll(y, -1))
-    )
-    h = TAU / grid_n
-    xs, fxs, converged = _golden_min(objective, lams[minima] - h, lams[minima] + h, refine_tol)
-    accepted = converged & (np.sqrt(fxs) <= CHI_ACCEPT)
-    # a simple root has |chi| growing linearly off the minimum; an
-    # anomalously small slope would hint at a tangential (double) zero
+    x0 = lams[minima].astype(complex)
+    xs, converged, stalled = _secant(chi_at, x0, x0 + TAU / grid_n / 4, refine_tol)
+    diagnostics: list[dict] = [{"kind": "refine-nonconverged", "lambda": float(x.real % TAU)}
+                               for x in xs[stalled]]
+    merged: list[float] = []
+    for lam in np.sort(xs[converged & (np.abs(xs.imag) <= IM_TOL)].real % TAU):
+        if not merged or angle_dist(lam, merged[-1]) > 1e-9:
+            merged.append(lam)
+    if len(merged) > 1 and angle_dist(merged[0], merged[-1]) <= 1e-9:
+        merged.pop()
+    # a simple root has |chi| growing linearly off it; an anomalously small
+    # slope would hint at a tangential (double) zero
     delta = max(1e-7, 10.0 * refine_tol)
-    f_plus, f_minus = np.split(
-        objective(np.concatenate([xs[accepted] + delta, xs[accepted] - delta])), 2
-    )
-    slopes = iter((np.sqrt(f_plus) + np.sqrt(f_minus)) / (2.0 * delta))
-
-    diagnostics: list[dict] = []
-    found: list[tuple[float, float]] = []
-    for x, fx, conv, acc in zip(xs, fxs, converged, accepted):
-        if not conv:
-            diagnostics.append({"kind": "refine-nonconverged", "lambda": x % TAU})
-        elif acc:
-            found.append((x % TAU, float(np.sqrt(fx))))
-            slope = next(slopes)
-            if slope < 1e-3:
-                diagnostics.append(
-                    {"kind": "shallow-root", "lambda": x % TAU, "slope": float(slope)}
-                )
-
-    found.sort()
+    roots = np.array(merged)
+    at, plus, minus = np.split(np.abs(chi_at(np.concatenate([roots, roots + delta,
+                                                             roots - delta]))), 3)
+    # certify every root whose real part lies on the arcs, the tails and the
+    # window chain computed for all of them at once
+    keep = ~np.isnan(at)
+    roots, at, slopes = roots[keep], at[keep], ((plus + minus) / (2.0 * delta))[keep]
+    el = np.exp(1j * roots)
+    spec_minus, _ = _asymptotic_batch(field.c_minus, el)
+    spec_plus, _ = _asymptotic_batch(field.c_plus, el)
+    chains, _ = _propagate(field, el, spec_minus.v_greater, field.x_minus, field.x_plus)
     records: list[EigenvalueRecord] = []
-    for lam, chi_abs in found:
-        if records and angle_dist(lam, records[-1].lam) <= 1e-9:
-            continue
-        record = _make_record(field, lam, chi_abs, diagnostics)
+    for k, lam in enumerate(roots.tolist()):
+        if slopes[k] < 1e-3:
+            diagnostics.append({"kind": "shallow-root", "lambda": lam, "slope": float(slopes[k])})
+        record = _make_record(field, lam, float(at[k]), chains[:, k],
+                              spec_minus.zeta_greater[k], spec_plus.zeta_less[k], diagnostics)
         if record is not None:
             records.append(record)
     return RootScan(records, diagnostics)
@@ -432,21 +407,26 @@ def _tail(coin: CoinMatrix, lam: float, right: bool) -> tuple[np.ndarray | None,
     return spectrum.v_greater, spectrum.zeta_greater
 
 
-def _propagate(field: CoinField, lam: float, start: np.ndarray, x_from: int, x_to: int):
-    """Apply the transfer chain over sites [x_from, x_to); None on a degenerate hit."""
-    el = np.exp(1j * lam)
+def _propagate(field: CoinField, el, start: np.ndarray, x_from: int, x_to: int):
+    """The transfer chain over sites [x_from, x_to) applied to start.
+
+    el is e^{i lam}, a scalar or an array of n phases, and start has shape
+    (2,) or (n, 2). Returns the values at sites x_from..x_to stacked on a
+    new first axis, and where a transfer matrix could not be built.
+    """
     values = [start]
+    hit = np.zeros(np.shape(el), dtype=bool)
     for x in range(x_from, x_to):
         (t00, t01, t10, t11), zero = transfer_batch(field.lookup(x), el)
-        if zero:
-            return None
-        values.append(np.array([[t00, t01], [t10, t11]]) @ values[-1])
-    return values
+        hit |= zero
+        v0, v1 = values[-1][..., 0], values[-1][..., 1]
+        values.append(np.stack([t00 * v0 + t01 * v1, t10 * v0 + t11 * v1], axis=-1))
+    return np.array(values), hit
 
 
 def _segment_solutions(
     field: CoinField, lam: float, v_left: np.ndarray | None, v_right: np.ndarray | None
-) -> list[tuple[int, list[np.ndarray]]]:
+) -> list[tuple[int, np.ndarray]]:
     """Nonzero solutions of the rank-one constraint chain at a degenerate phase.
 
     The window splits into segments at the sites whose transfer matrix cannot
@@ -470,12 +450,12 @@ def _segment_solutions(
         anchor = next_anchor if np.linalg.norm(next_anchor) > 0 else None
     segments.append((start, anchor, xp, v_right))
 
-    solutions: list[tuple[int, list[np.ndarray]]] = []
+    solutions: list[tuple[int, np.ndarray]] = []
     for start, anchor, end, end_dir in segments:
         if anchor is None or end_dir is None:
             continue
-        values = _propagate(field, lam, anchor, start, end)
-        if values is None:
+        values, hit = _propagate(field, np.exp(1j * lam), anchor, start, end)
+        if hit:
             continue
         final = values[-1]
         n = np.linalg.norm(final)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coin import CoinField, CoinMatrix
-from .evolution import StateVector
+from .evolution import StateVector, coin_stack
 from .linalg import TAU, phase_fix
 
 log = logging.getLogger(__name__)
@@ -46,9 +46,11 @@ def transfer_batch(coin: CoinMatrix, el):
     T = [[e^{i lam}(e^{i lam} - a22), -a13 e^{i lam} - e^{i Delta} conj(a31)],
          [a31 e^{i lam} + e^{i Delta} conj(a13), -e^{i Delta}(e^{-i lam} - conj(a22))]]
     divided by a11 e^{i lam} - e^{i Delta} conj(a33). |det T| = 1 whenever the
-    divisor is nonzero. Returns the entries (t00, t01, t10, t11) and the mask
-    of the degenerate phases, where the divisor vanishes to ZERO_TOL and the
-    entries are left finite but meaningless.
+    divisor is nonzero. Every entry is a rational function of e^{i lam}
+    (e^{-i lam} is written 1/e^{i lam}), so T is analytic in a complex lam
+    away from the degenerate phases. Returns the entries (t00, t01, t10, t11)
+    and the mask of the degenerate phases, where the divisor vanishes to
+    ZERO_TOL and the entries are left finite but meaningless.
     """
     m = coin.mat
     ed = coin.det_unit
@@ -58,7 +60,7 @@ def transfer_batch(coin: CoinMatrix, el):
         el * (el - m[1, 1]) / num,
         (-m[0, 2] * el - ed * np.conj(m[2, 0])) / num,
         (m[2, 0] * el + ed * np.conj(m[0, 2])) / num,
-        -ed * (np.conj(el) - np.conj(m[1, 1])) / num,
+        -ed * (1.0 / el - np.conj(m[1, 1])) / num,
     )
     return entries, zero
 
@@ -157,13 +159,10 @@ def iota_inverse(reduced: ReducedState, field: CoinField, lam: float) -> StateVe
         psi_2(x) = (a21 psi_1(x) + a23 psi_3(x)) / (e^{i lam} - a22).
     The output window is [lo - 1, hi] (one site wider on the left).
     """
-    el = np.exp(1j * lam)
     lo, hi = reduced.lo - 1, reduced.hi
     amps = np.zeros((hi - lo + 1, 3), dtype=complex)
-    for x in range(lo, hi + 1):
-        p1 = reduced.value(x + 1)[0]
-        p3 = reduced.value(x)[1]
-        m = field.lookup(x).mat
-        p2 = (m[1, 0] * p1 + m[1, 2] * p3) / (el - m[1, 1])
-        amps[x - lo] = (p1, p2, p3)
+    amps[:-1, 0] = reduced.values[:, 0]
+    amps[1:, 2] = reduced.values[:, 1]
+    a21, a22, a23 = coin_stack(field, lo, hi)[:, 1].T
+    amps[:, 1] = (a21 * amps[:, 0] + a23 * amps[:, 2]) / (np.exp(1j * lam) - a22)
     return StateVector(lo, hi, amps)

@@ -18,9 +18,8 @@ from qw3.spectral import (
     TR_TOL,
     asymptotic_spectrum,
     build_eigenvector,
-    chi,
+    chi_batch,
     find_roots,
-    grid_samples,
     lambda0_adjudicate,
     lambda0_set,
     operator_residual,
@@ -124,29 +123,23 @@ def test_fourier_arcs_form_finite_union():
 
 def test_chi_homogeneous_never_vanishes_on_arcs():
     field = field_homogeneous(make_fourier())
-    guards = lambda0_set(field)
-    floor = np.inf
-    hits = 0
-    for i in range(2000):
-        s = chi(field, i * TAU / 2000, guards)
-        if s.value is not None and s.in_lambda:
-            hits += 1
-            floor = min(floor, abs(s.value))
-    assert hits > 100
-    assert floor > 1e-2  # no roots anywhere near acceptance threshold
+    values, in_lambda, _ = chi_batch(field, np.arange(2000) * (TAU / 2000))
+    defined = ~np.isnan(values) & in_lambda
+    assert defined.sum() > 100
+    assert np.abs(values[defined]).min() > 1e-2  # no roots anywhere near
 
 
 def test_chi_flags_outside_arcs():
     field = field_homogeneous(make_fourier())
-    s = chi(field, 0.0)
-    assert not s.in_lambda and s.value is None
+    values, in_lambda, _ = chi_batch(field, np.array([0.0]))
+    assert not in_lambda[0] and np.isnan(values[0])
 
 
 def test_chi_near_guard_flag():
     field = field_homogeneous(make_fourier())
     lam0 = lambda0_set(field)[0]
-    assert chi(field, lam0 + 5e-7).near_lambda0
-    assert not chi(field, lam0 + 5e-3).near_lambda0
+    _, _, near = chi_batch(field, np.array([lam0 + 5e-7, lam0 + 5e-3]))
+    assert near[0] and not near[1]
 
 
 def test_find_roots_one_defect_counts_and_certificates():
@@ -162,9 +155,8 @@ def test_find_roots_one_defect_counts_and_certificates():
         assert abs(r.zeta_right) <= 1.0 - 1e-6
         assert abs(r.zeta_left) >= 1.0 + 1e-6
         # local-minimum certificate
-        for off in (-1e-11, 1e-11):
-            bumped = chi(field, r.lam + off, guards)
-            assert abs(bumped.value) > r.chi_residual
+        bumped, _, _ = chi_batch(field, r.lam + np.array([-1e-11, 1e-11]), guards)
+        assert (np.abs(bumped) > r.chi_residual).all()
         # records are sorted
     lams = [r.lam for r in scan.records]
     assert lams == sorted(lams)
@@ -372,11 +364,9 @@ def _arc_edge_field():
                            (make_grover(), make_grover())), id="interior-chain"),
     pytest.param(compact_chain_field(), id="compact-chain"),
     pytest.param(field_two_phase(make_fourier(), make_grover()), id="compact-bump"),
-    # 8 roots, all in the dense spectrum; the mirror misses 1.929675, whose
-    # grid minimum falls on the arc-edge sample next to an off-arc one
-    pytest.param(_arc_edge_field(), id="arc-edge-miss", marks=pytest.mark.xfail(
-        strict=True, reason="find_roots drops a minimum on the arc-edge grid "
-        "sample without a diagnostic, so the mirror misses lambda=1.929675")),
+    # 8 roots, all in the dense spectrum; in the mirror the grid minimum of
+    # 1.929675 falls on the arc-edge sample next to an off-arc one
+    pytest.param(_arc_edge_field(), id="arc-edge-miss"),
 ])
 def test_parity_mirror_has_the_same_spectrum(field):
     image = mirrored(field)
@@ -456,18 +446,36 @@ def test_mixed_field_matches_dense_diagonalization():
 def test_preset_eigenphases_pinned():
     for (model, i), expected in PRESET_EIGENPHASES.items():
         scan = find_roots(preset_field(model, i), grid_n=4000, refine_tol=1e-12)
+        assert scan.diagnostics == [], (model, i, scan.diagnostics)
         got = [r.lam for r in scan.records]
         assert len(got) == len(expected), (model, i, got)
         for g, e in zip(got, expected):
             assert abs(g - e) <= 1e-12, (model, i, g, e)
 
 
+def test_wide_field_matches_dense_diagonalization():
+    # a 16-site random window whose |chi| grows through the window: the roots
+    # are found by their zero, not by how small |chi| gets there
+    rng = np.random.default_rng(4)
+    field = CoinField(random_coin(rng), random_coin(rng), -8, 8,
+                      tuple(random_coin(rng) for _ in range(16)))
+    mine = sorted(
+        [r.lam for r in find_roots(field).records]
+        + [r.lam for r in lambda0_adjudicate(field)]
+    )
+    brute = _dense_point_spectrum(field, 60)
+    assert len(mine) == len(brute) == 28
+    assert max(abs(a - b) for a, b in zip(mine, brute)) < 1e-9
+
+
 def reference_chi(field, lam, angles):
     """|chi|, in_lambda and near_lambda0 at one phase, built independently of
     the batched kernel: transfer matrices from the rational coefficients (the
-    criterion-8 construction), eig2 for the tails, an explicit product over
-    the window sites. angles are the coins' exceptional phases; |chi| is None
-    where chi is undefined."""
+    criterion-8 construction), eig2 for the tail eigenvalues, unnormalised
+    tail vectors from the first row of T - zeta unless the second is more
+    than twice as well conditioned, an explicit product over the window
+    sites. angles are the coins' exceptional phases; |chi| is None where chi
+    is undefined."""
     el = np.exp(1j * lam)
 
     def transfer(coin):
@@ -485,10 +493,13 @@ def reference_chi(field, lam, angles):
             return None, False, True
         pairs = eig2(t)
         inside = abs(t[0, 0] + t[1, 1]) > 2.0 + TR_TOL and not pairs.degenerate
-        if abs(pairs.zeta_plus) <= abs(pairs.zeta_minus):
-            tails.append((inside, pairs.v_plus, pairs.v_minus))
-        else:
-            tails.append((inside, pairs.v_minus, pairs.v_plus))
+        rows = []
+        for z in sorted((pairs.zeta_plus, pairs.zeta_minus), key=abs):
+            first = np.array([t[0, 1], z - t[0, 0]])
+            second = np.array([z - t[1, 1], t[1, 0]])
+            rows.append(first if 2 * np.linalg.norm(first) >= np.linalg.norm(second)
+                        else second)
+        tails.append((inside, *rows))
     (in_minus, _, v), (in_plus, w, _) = tails
     if not (in_minus and in_plus):
         return None, False, near
@@ -509,17 +520,18 @@ def test_batched_chi_matches_scalar_reference():
         angles = [lambda0_angle(c) for c in field.distinct_coins()]
         angles = [a for a in angles if a is not None]
         defined = 0
-        for sample in grid_samples(field, 1000):
-            ref, in_lambda, near = reference_chi(field, sample.lam, angles)
-            assert (sample.in_lambda, sample.near_lambda0) == (in_lambda, near)
-            assert (sample.value is None) == (ref is None)
+        lams = np.arange(1000) * (TAU / 1000)
+        for lam, value, inside, guarded in zip(lams, *chi_batch(field, lams)):
+            ref, in_lambda, near = reference_chi(field, lam, angles)
+            assert (inside, guarded) == (in_lambda, near)
+            assert np.isnan(value) == (ref is None)
             if ref is not None:
                 defined += 1
-                assert abs(abs(sample.value) - ref) <= 1e-9 * ref
+                assert abs(abs(value) - ref) <= 1e-9 * ref
         assert defined > 100
     # without guards, the degenerate-phase mask alone flags a window coin's
     # (one-defect) or a tail coin's (two-phase) exceptional phase
     lam0 = lambda0_angle(phase_scale(make_fourier(), THETAS[0]))
     for model, in_lambda in (("one-defect", True), ("two-phase", False)):
-        sample = chi(preset_field(model, 0), lam0, [])
-        assert (sample.value, sample.in_lambda, sample.near_lambda0) == (None, in_lambda, True)
+        value, inside, near = chi_batch(preset_field(model, 0), np.array([lam0]), [])
+        assert (np.isnan(value[0]), inside[0], near[0]) == (True, in_lambda, True)
