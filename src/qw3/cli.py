@@ -124,7 +124,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     field = _resolve_field(args)
     lams = np.arange(args.grid) * (TAU / args.grid)
-    values, in_lambda, near = chi_batch(field, lams, lambda0_set(field))
+    angles = lambda0_set(field)
+    values, in_lambda, near = chi_batch(field, lams, angles)
     lines = ["lambda,abs_chi,in_lambda,near_lambda0"]
     for lam, value, inside, guarded in zip(lams, values, in_lambda, near):
         abs_chi = "" if np.isnan(value) else _fmt(abs(value))
@@ -133,7 +134,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     _write_atomic(out, "\n".join(lines) + "\n")
     _write_atomic(
         out.with_name(out.name + ".lambda0.json"),
-        json.dumps({"lambda0": lambda0_set(field)}, sort_keys=True) + "\n",
+        json.dumps({"lambda0": angles}, sort_keys=True) + "\n",
     )
     _write_manifest(out, "scan", {"grid": args.grid}, field, started)
     return EXIT_OK

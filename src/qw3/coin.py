@@ -63,11 +63,6 @@ class CoinMatrix:
         """The unit-modulus determinant e^{i Delta}."""
         return np.exp(1j * self.det_phase)
 
-    def same_as(self, other: "CoinMatrix", tol: float = 0.0) -> bool:
-        if tol == 0.0:
-            return np.array_equal(self.mat, other.mat)
-        return bool(np.abs(self.mat - other.mat).max() <= tol)
-
 
 def make_fourier() -> CoinMatrix:
     """The 3-point discrete Fourier transform coin, entries omega^{jk}/sqrt(3)."""
@@ -127,12 +122,12 @@ class CoinField:
         return self.c_minus
 
     def distinct_coins(self) -> list[CoinMatrix]:
-        """All distinct coins in the field (exact entrywise comparison)."""
-        out: list[CoinMatrix] = []
+        """All distinct coins in the field (exact entrywise comparison), first seen first."""
+        # adding 0.0 turns -0.0 into 0.0, so the bytes compare as array_equal does
+        out: dict[bytes, CoinMatrix] = {}
         for c in (self.c_minus, self.c_plus, *self.defects):
-            if not any(c.same_as(seen) for seen in out):
-                out.append(c)
-        return out
+            out.setdefault((c.mat + 0.0).tobytes(), c)
+        return list(out.values())
 
 
 def field_homogeneous(coin: CoinMatrix) -> CoinField:

@@ -38,13 +38,18 @@ def branch_sqrt(a):
 
 @dataclass(frozen=True)
 class Eig2:
-    """Eigenpairs of a 2x2 matrix (of a stack of n, as (n,)/(n, 2) arrays)."""
+    """Eigenpairs of a stack of n 2x2 matrices, as (n,) and (n, 2) arrays.
 
-    zeta_plus: complex
-    zeta_minus: complex
-    v_plus: np.ndarray
-    v_minus: np.ndarray
-    degenerate: bool
+    zeta_less / zeta_greater are the eigenvalues of smaller / larger
+    modulus (ties keep the + branch first) and v_less / v_greater their
+    unnormalised eigenvectors.
+    """
+
+    zeta_less: np.ndarray
+    zeta_greater: np.ndarray
+    v_less: np.ndarray
+    v_greater: np.ndarray
+    degenerate: np.ndarray
 
 
 def _norm(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
@@ -68,13 +73,12 @@ def _eigenvector(m00, m01, m10, m11, zeta, floor):
 def eig2_batch(m00, m01, m10, m11) -> Eig2:
     """Eigenvalues and eigenvectors of a stack of 2x2 complex matrices.
 
-    The matrices are given entry by entry as arrays of shape (n,). zeta_plus
-    and zeta_minus use the + and - branch of
-    (tr +/- branch_sqrt(tr^2 - 4 det)) / 2. Each eigenvector is read off one
-    row of (m - zeta I) and left unnormalised, so that it is analytic in the
-    entries wherever zeta is. A (numerically) repeated eigenvalue sets the
-    degenerate flag; a defective matrix then reports the single
-    eigendirection for both vectors.
+    The matrices are given entry by entry as arrays of shape (n,). The
+    eigenvalues are (tr +/- branch_sqrt(tr^2 - 4 det)) / 2, ordered by
+    modulus. Each eigenvector is read off one row of (m - zeta I) and left
+    unnormalised, so that it is analytic in the entries wherever zeta is. A
+    (numerically) repeated eigenvalue sets the degenerate flag; a defective
+    matrix then reports the single eigendirection for both vectors.
     """
     tr = m00 + m11
     det = m00 * m11 - m01 * m10
@@ -87,21 +91,13 @@ def eig2_batch(m00, m01, m10, m11) -> Eig2:
     vm, ok_m = _eigenvector(m00, m01, m10, m11, zm, floor)
     # Where one vector is missing the other stands in for it; where both are,
     # m is (close to) a multiple of the identity: any orthonormal pair.
-    v_plus = np.where(ok_p[:, None], vp, np.where(ok_m[:, None], vm, [1.0, 0.0]))
-    v_minus = np.where(ok_m[:, None], vm, np.where(ok_p[:, None], vp, [0.0, 1.0]))
-    return Eig2(zp, zm, v_plus, v_minus, degenerate | ~ok_p | ~ok_m)
-
-
-def eig2(m: np.ndarray) -> Eig2:
-    """eig2_batch for a single 2x2 matrix, with unit eigenvectors."""
-    p = eig2_batch(*np.asarray(m, dtype=complex).reshape(4, 1))
-    return Eig2(p.zeta_plus[0], p.zeta_minus[0], unit(p.v_plus[0]), unit(p.v_minus[0]),
-                bool(p.degenerate[0]))
-
-
-def unit(v: np.ndarray) -> np.ndarray:
-    """v scaled to unit norm."""
-    return v / np.linalg.norm(v)
+    vp, vm = (np.where(ok_p[:, None], vp, np.where(ok_m[:, None], vm, [1.0, 0.0])),
+              np.where(ok_m[:, None], vm, np.where(ok_p[:, None], vp, [0.0, 1.0])))
+    swap = np.abs(zp) > np.abs(zm)
+    vswap = swap[:, None]
+    return Eig2(np.where(swap, zm, zp), np.where(swap, zp, zm),
+                np.where(vswap, vm, vp), np.where(vswap, vp, vm),
+                degenerate | ~ok_p | ~ok_m)
 
 
 def cross2(u: np.ndarray, v: np.ndarray) -> complex:

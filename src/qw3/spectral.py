@@ -20,7 +20,7 @@ import numpy as np
 
 from .coin import CoinField, CoinMatrix
 from .evolution import StateVector, apply_u
-from .linalg import TAU, angle_dist, cross2, eig2_batch, phase_fix, unit
+from .linalg import TAU, Eig2, angle_dist, cross2, eig2_batch, phase_fix
 from .transfer import (
     ReducedState,
     a_zero,
@@ -58,55 +58,22 @@ _SECANT_MAX_ITER = 60
 _TAIL_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True)
-class AsymptoticSpectrum:
-    """Spectral data of one coin's transfer matrix at one phase.
-
-    zeta_less / zeta_greater are the eigenvalues with modulus <= 1 and >= 1
-    (their product has unit modulus) and v_less / v_greater their
-    eigenvectors; in_lambda reports |tr| > 2 + TR_TOL, the open condition
-    under which the moduli split strictly and decaying tails exist.
-    _asymptotic_batch fills the fields with arrays over phases and leaves the
-    vectors unnormalised; asymptotic_spectrum gives unit vectors.
-    """
-
-    zeta_less: complex
-    zeta_greater: complex
-    v_less: np.ndarray
-    v_greater: np.ndarray
-    in_lambda: bool
-
-
-def _asymptotic_batch(
+def asymptotic_spectrum(
     coin: CoinMatrix, el: np.ndarray
-) -> tuple[AsymptoticSpectrum, np.ndarray]:
-    """Asymptotic spectra at an array of e^{i lam}, and the degenerate-phase mask."""
+) -> tuple[Eig2, np.ndarray, np.ndarray]:
+    """Spectra of a coin's transfer matrices at an array of e^{i lam}.
+
+    Returns the eigenpairs ordered by modulus (their eigenvalues' product has
+    unit modulus), in_lambda, the open condition |tr| > 2 + TR_TOL under which
+    the moduli split strictly and decaying tails exist, and the mask of the
+    degenerate phases, where no transfer matrix can be built.
+    """
     t, zero = transfer_batch(coin, el)
     pairs = eig2_batch(*t)
     # |tr| > 2 with unit |det| already rules out a repeated eigenvalue; the
     # explicit check keeps a defective pair out of the arcs regardless
     in_lambda = (np.abs(t[0] + t[3]) > 2.0 + TR_TOL) & ~pairs.degenerate & ~zero
-    swap = np.abs(pairs.zeta_plus) > np.abs(pairs.zeta_minus)
-    vswap = swap[:, None]
-    return AsymptoticSpectrum(
-        np.where(swap, pairs.zeta_minus, pairs.zeta_plus),
-        np.where(swap, pairs.zeta_plus, pairs.zeta_minus),
-        np.where(vswap, pairs.v_minus, pairs.v_plus),
-        np.where(vswap, pairs.v_plus, pairs.v_minus),
-        in_lambda,
-    ), zero
-
-
-def asymptotic_spectrum(coin: CoinMatrix, lam: float) -> AsymptoticSpectrum:
-    """Eigen-decomposition of the transfer matrix of a homogeneous region."""
-    spec, zero = _asymptotic_batch(coin, np.exp(1j * np.array([lam])))
-    if zero[0]:
-        raise ValueError(
-            f"transfer matrix degenerates at lam={lam!r}; this phase belongs to "
-            "the exceptional set and must be adjudicated separately"
-        )
-    return AsymptoticSpectrum(spec.zeta_less[0], spec.zeta_greater[0], unit(spec.v_less[0]),
-                              unit(spec.v_greater[0]), bool(spec.in_lambda[0]))
+    return pairs, in_lambda, zero
 
 
 def lambda0_set(field: CoinField) -> list[float]:
@@ -142,19 +109,19 @@ def chi_batch(
     for g in lambda0_angles:
         near |= angle_dist(lams.real, g) < LAMBDA0_GUARD
     el = np.exp(1j * lams)
-    spec_minus, zero_minus = _asymptotic_batch(field.c_minus, el)
-    spec_plus, zero_plus = _asymptotic_batch(field.c_plus, el)
-    near |= zero_minus | zero_plus
-    in_lambda = spec_minus.in_lambda & spec_plus.in_lambda
+    left, in_left, zero_left = asymptotic_spectrum(field.c_minus, el)
+    right, in_right, zero_right = asymptotic_spectrum(field.c_plus, el)
+    near |= zero_left | zero_right
+    in_lambda = in_left & in_right
     idx = np.flatnonzero(in_lambda)
     e = el[idx]
-    v0, v1 = spec_minus.v_greater[idx, 0], spec_minus.v_greater[idx, 1]
+    v0, v1 = left.v_greater[idx, 0], left.v_greater[idx, 1]
     hit = np.zeros(idx.shape, dtype=bool)
     for x in range(field.x_minus, field.x_plus + 1):
         (t00, t01, t10, t11), zero = transfer_batch(field.lookup(x), e)
         hit |= zero
         v0, v1 = t00 * v0 + t01 * v1, t10 * v0 + t11 * v1
-    w = spec_plus.v_less[idx]
+    w = right.v_less[idx]
     values = np.full(lams.shape, np.nan, dtype=complex)
     values[idx] = np.where(hit, np.nan, v0 * w[:, 1] - v1 * w[:, 0])
     near[idx[hit]] = True
@@ -202,72 +169,68 @@ def operator_residual(field: CoinField, lam: float, psi: StateVector) -> float:
     return float(np.linalg.norm(diff) / np.linalg.norm(amps))
 
 
-def _canonical(psi: StateVector) -> StateVector:
-    # anchor the global phase on a non-negligible entry, not a decayed tail
-    unit = psi.normalized()
-    amps = phase_fix(unit.amps.reshape(-1), tol=1e-6).reshape(-1, 3)
-    return StateVector(unit.lo, unit.hi, amps)
-
-
 def _tail_length(rate: float) -> int:
     # Sites needed before a geometric tail of modulus ratio rate drops below _TAIL_CUTOFF.
-    if rate <= 0.0 or rate >= 1.0 - 1e-12:
+    if rate >= 1.0 - 1e-12:
         return 100_000
     return max(5, min(int(np.ceil(np.log(_TAIL_CUTOFF) / np.log(rate))), 100_000))
 
 
-def _with_tails(
-    lo: int, hi: int, start: int, values, rate_left: complex, rate_right: complex
-) -> ReducedState:
-    """The reduced state on [lo, hi] holding values from site start on.
-
-    Beyond the last value it continues as rate_right**j times that value,
-    before the first as rate_left**-j times that one.
-    """
-    grid = np.zeros((hi - lo + 1, 2), dtype=complex)
-    first, last = start - lo, start - lo + len(values) - 1
-    grid[first : last + 1] = values
-    grid[last + 1 :] = rate_right ** np.arange(1, hi - lo - last + 1)[:, None] * grid[last]
-    grid[:first] = rate_left ** -np.arange(first, 0, -1)[:, None] * grid[first]
-    return ReducedState(lo, hi, grid)
-
-
-def build_eigenvector(
-    field: CoinField, lam: float, window: tuple[int, int] | None = None
+def _lift(
+    field: CoinField, lam: float, start: int, values: np.ndarray, rate_left: complex,
+    rate_right: complex,
 ) -> StateVector:
+    """The unit, phase-fixed eigenvector whose reduced state holds values from start on.
+
+    A side with a nonzero rate gets a geometric tail, rate_left**-j before
+    the first value and rate_right**j beyond the last, cut where it falls
+    below _TAIL_CUTOFF; a side with a zero rate is compact and gets none.
+    The reduced state is then lifted back to three components.
+    """
+    m_left = _tail_length(1.0 / abs(rate_left)) if rate_left else 0
+    m_right = _tail_length(abs(rate_right)) if rate_right else 0
+    last = m_left + len(values) - 1
+    grid = np.zeros((last + 1 + m_right, 2), dtype=complex)
+    grid[m_left : last + 1] = values
+    grid[last + 1 :] = rate_right ** np.arange(1, m_right + 1)[:, None] * grid[last]
+    grid[:m_left] = rate_left ** -np.arange(m_left, 0, -1)[:, None] * grid[m_left]
+    reduced = ReducedState(start - m_left, start - m_left + len(grid) - 1, grid)
+    psi = iota_inverse(reduced, field, lam).normalized()
+    # anchor the global phase on a non-negligible entry, not a decayed tail
+    amps = phase_fix(psi.amps.reshape(-1), tol=1e-6).reshape(-1, 3)
+    return StateVector(psi.lo, psi.hi, amps)
+
+
+def _chains(field: CoinField, lams: np.ndarray):
+    """Window chains and tail rates at an array of phases.
+
+    The left tail's growing eigenvector is pushed through the window by the
+    transfer chain. Returns the values at sites x_minus..x_plus (stacked on
+    the first axis), the left tail's zeta_greater, the right tail's
+    zeta_less, and ok: both tails on the allowed arcs and every transfer
+    matrix of the chain built.
+    """
+    el = np.exp(1j * lams)
+    left, in_left, _ = asymptotic_spectrum(field.c_minus, el)
+    right, in_right, _ = asymptotic_spectrum(field.c_plus, el)
+    chains, hit = _propagate(field, el, left.v_greater, field.x_minus, field.x_plus)
+    return chains, left.zeta_greater, right.zeta_less, in_left & in_right & ~hit
+
+
+def build_eigenvector(field: CoinField, lam: float) -> StateVector:
     """Reconstruct the (unit, phase-fixed) eigenvector for an eigenphase lam.
 
     The reduced state is the left tail's growing eigendirection, decayed
     geometrically for x <= x_minus, pushed through the window by the transfer
     chain, and continued with the right decay rate for x >= x_plus; it is then
-    lifted back to three components. Raises if the supplied window cannot hold
-    the tails down to the 1e-12 cutoff.
+    lifted back to three components. This is the construction find_roots
+    certifies, so at a record's phase it returns the record's eigenvector.
     """
-    spec_minus = asymptotic_spectrum(field.c_minus, lam)
-    spec_plus = asymptotic_spectrum(field.c_plus, lam)
-    if not (spec_minus.in_lambda and spec_plus.in_lambda):
-        raise ValueError(f"lam={lam!r} lies outside the allowed arcs")
-    values, _ = _propagate(field, np.exp(1j * lam), spec_minus.v_greater,
-                           field.x_minus, field.x_plus)
-    return _lift(field, lam, values, spec_minus.zeta_greater, spec_plus.zeta_less, window)
-
-
-def _lift(
-    field: CoinField, lam: float, values: np.ndarray, zg: complex, zl: complex,
-    window: tuple[int, int] | None = None,
-) -> StateVector:
-    """build_eigenvector from the window values and the two tail rates."""
-    m_left, m_right = _tail_length(1.0 / abs(zg)), _tail_length(abs(zl))
-    lo, hi = field.x_minus - m_left, field.x_plus + m_right
-    if window is not None:
-        if window[0] > lo or window[1] < hi:
-            raise ValueError(
-                f"window {window} too small: tails need [{lo}, {hi}] "
-                f"(m_left={m_left}, m_right={m_right})"
-            )
-        lo, hi = window
-    reduced = _with_tails(lo, hi, field.x_minus, values, zg, zl)
-    return _canonical(iota_inverse(reduced, field, lam))
+    chains, zg, zl, ok = _chains(field, np.array([lam]))
+    if not ok[0]:
+        raise ValueError(f"lam={lam!r} lies outside the allowed arcs or where a "
+                         "transfer matrix of the window cannot be built")
+    return _lift(field, lam, field.x_minus, chains[:, 0], zg[0], zl[0])
 
 
 def _secant(f, x0: np.ndarray, x1: np.ndarray, tol: float):
@@ -311,7 +274,7 @@ def _make_record(
              "zeta_right_abs": abs(zl), "zeta_left_abs": abs(zg)}
         )
         return None
-    psi = _lift(field, lam, values, zg, zl)
+    psi = _lift(field, lam, field.x_minus, values, zg, zl)
     residual = operator_residual(field, lam, psi)
     if residual > RESIDUAL_TOL:
         diagnostics.append(
@@ -369,16 +332,13 @@ def find_roots(
     # window chain computed for all of them at once
     keep = ~np.isnan(at)
     roots, at, slopes = roots[keep], at[keep], ((plus + minus) / (2.0 * delta))[keep]
-    el = np.exp(1j * roots)
-    spec_minus, _ = _asymptotic_batch(field.c_minus, el)
-    spec_plus, _ = _asymptotic_batch(field.c_plus, el)
-    chains, _ = _propagate(field, el, spec_minus.v_greater, field.x_minus, field.x_plus)
+    chains, zg, zl, _ = _chains(field, roots)
     records: list[EigenvalueRecord] = []
     for k, lam in enumerate(roots.tolist()):
         if slopes[k] < 1e-3:
             diagnostics.append({"kind": "shallow-root", "lambda": lam, "slope": float(slopes[k])})
-        record = _make_record(field, lam, float(at[k]), chains[:, k],
-                              spec_minus.zeta_greater[k], spec_plus.zeta_less[k], diagnostics)
+        record = _make_record(field, lam, float(at[k]), chains[:, k], zg[k], zl[k],
+                              diagnostics)
         if record is not None:
             records.append(record)
     return RootScan(records, diagnostics)
@@ -395,16 +355,18 @@ def _tail(coin: CoinMatrix, lam: float, right: bool) -> tuple[np.ndarray | None,
     x_minus). The rate is 0 for a compact tail. None means only the zero
     tail is square-summable.
     """
-    if a_zero(coin, lam):
+    pairs, in_lambda, zero = asymptotic_spectrum(coin, np.exp(1j * np.array([lam])))
+    if zero[0]:
         left_vec, right_vec = zero_case_vectors(coin)
         vec = left_vec if right else right_vec
         return (vec if np.linalg.norm(vec) > 0 else None), 0j
-    spectrum = asymptotic_spectrum(coin, lam)
-    if not spectrum.in_lambda:
+    if not in_lambda[0]:
         return None, 0j
     if right:
-        return spectrum.v_less, spectrum.zeta_less
-    return spectrum.v_greater, spectrum.zeta_greater
+        vec, rate = pairs.v_less[0], pairs.zeta_less[0]
+    else:
+        vec, rate = pairs.v_greater[0], pairs.zeta_greater[0]
+    return vec / np.linalg.norm(vec), rate
 
 
 def _propagate(field: CoinField, el, start: np.ndarray, x_from: int, x_to: int):
@@ -481,8 +443,8 @@ def lambda0_adjudicate(field: CoinField) -> list[EigenvalueRecord]:
         solution = _lambda0_solution(field, lam)
         if solution is None:
             continue
-        reduced, rate_left, rate_right = solution
-        psi = _canonical(iota_inverse(reduced, field, lam))
+        start, values, rate_left, rate_right = solution
+        psi = _lift(field, lam, start, values, rate_left, rate_right)
         residual = operator_residual(field, lam, psi)
         if residual > RESIDUAL_TOL:
             log.warning("degenerate-phase candidate at lam=%.12f rejected: "
@@ -498,11 +460,12 @@ def lambda0_adjudicate(field: CoinField) -> list[EigenvalueRecord]:
 
 def _lambda0_solution(
     field: CoinField, lam: float
-) -> tuple[ReducedState, complex, complex] | None:
+) -> tuple[int, np.ndarray, complex, complex] | None:
     """A nonzero square-summable reduced state at a degenerate phase, or None.
 
-    Returns the state together with the left/right decay rates actually used
-    (0 on a side where the constructed solution is compactly supported).
+    Returns it as _lift takes it: the first site, the values from there on,
+    and the left/right tail rates (0 on a side where the solution is
+    compactly supported).
     """
     xm, xp = field.x_minus, field.x_plus
 
@@ -512,7 +475,7 @@ def _lambda0_solution(
         if a_zero(coin, lam) and compact_support_condition(coin):
             direction, _ = zero_case_vectors(coin)
             if np.linalg.norm(direction) > 0:
-                return ReducedState(x, x, direction[None, :]), 0j, 0j
+                return x, direction[None, :], 0j, 0j
 
     v_left, rate_left = _tail(field.c_minus, lam, right=False)
     v_right, rate_right = _tail(field.c_plus, lam, right=True)
@@ -530,7 +493,4 @@ def _lambda0_solution(
         rate_left = 0j
     if end != xp:
         rate_right = 0j
-    m_left = _tail_length(1.0 / abs(rate_left)) if rate_left else 0
-    m_right = _tail_length(abs(rate_right)) if rate_right else 0
-    reduced = _with_tails(start - m_left, end + m_right, start, values, rate_left, rate_right)
-    return reduced, rate_left, rate_right
+    return start, values, rate_left, rate_right

@@ -20,7 +20,7 @@ from qw3.coin import (
     phase_scale,
 )
 from qw3.evolution import apply_u, default_initial_state, evolve, time_averaged_origin
-from qw3.linalg import TAU, eig2
+from qw3.linalg import TAU, eig2_batch
 from qw3.spectral import find_roots, lambda0_adjudicate, lambda0_set
 from qw3.transfer import lambda0_angle
 
@@ -190,7 +190,8 @@ def test_criterion_06_coupling_identities(coin_suite):
 def test_criterion_07_arc_membership_equivalence():
     coin = make_fourier()
     n = 10_000
-    band = disagreements = 0
+    band = 0
+    ts = []
     for i in range(n):
         t = transfer_matrix(coin, i * TAU / n)
         if t is None:
@@ -199,10 +200,11 @@ def test_criterion_07_arc_membership_equivalence():
         if abs(tr_abs - 2.0) <= 1e-9:
             band += 1
             continue
-        pairs = eig2(t)
-        greater = max(abs(pairs.zeta_plus), abs(pairs.zeta_minus))
-        if (tr_abs > 2.0) != (greater > 1.0 + 1e-8):
-            disagreements += 1
+        ts.append(t)
+    ts = np.array(ts)
+    greater = np.abs(eig2_batch(*ts.reshape(-1, 4).T).zeta_greater)
+    tr_abs = np.abs(ts[:, 0, 0] + ts[:, 1, 1])
+    disagreements = int(((tr_abs > 2.0) != (greater > 1.0 + 1e-8)).sum())
     assert disagreements == 0
     print(f"criterion 7 PASS: trace test == growth test on {n} phases "
           f"({band} band points excluded)")

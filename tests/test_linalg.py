@@ -1,6 +1,6 @@
 import numpy as np
 
-from qw3.linalg import TAU, branch_sqrt, cross2, eig2, phase_fix
+from qw3.linalg import TAU, branch_sqrt, cross2, eig2_batch, phase_fix
 
 from conftest import random_unitary
 
@@ -40,58 +40,78 @@ def test_branch_sqrt_half_plane_image(rng):
         assert -1e-15 <= arg < np.pi
 
 
+def eig2(m: np.ndarray):
+    """eig2_batch on one 2x2 matrix: eigenvalues and unit eigenvectors, ordered by modulus."""
+    p = eig2_batch(*np.asarray(m, dtype=complex).reshape(4, 1))
+    return (p.zeta_less[0], p.zeta_greater[0], unit(p.v_less[0]), unit(p.v_greater[0]),
+            bool(p.degenerate[0]))
+
+
+def unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def stacked(matrices: list[np.ndarray]) -> list[np.ndarray]:
+    """The entries m00, m01, m10, m11 of a list of 2x2 matrices, as eig2_batch takes them."""
+    return list(np.array(matrices).reshape(-1, 4).T)
+
+
 def test_eig2_identity():
-    pairs = eig2(np.eye(2, dtype=complex))
-    assert abs(pairs.zeta_plus - 1) < 1e-14
-    assert abs(pairs.zeta_minus - 1) < 1e-14
-    assert pairs.degenerate
+    z_less, z_greater, v_less, _, degenerate = eig2(np.eye(2, dtype=complex))
+    assert abs(z_less - 1) < 1e-14
+    assert abs(z_greater - 1) < 1e-14
+    assert degenerate
     # any orthonormal pair is acceptable
-    assert abs(np.vdot(pairs.v_plus, pairs.v_plus) - 1) < 1e-14
+    assert abs(np.vdot(v_less, v_less) - 1) < 1e-14
 
 
 def test_eig2_diagonal():
-    pairs = eig2(np.diag([2.0, 0.5]).astype(complex))
-    assert abs(pairs.zeta_plus - 2.0) < 1e-14
-    assert abs(pairs.zeta_minus - 0.5) < 1e-14
-    assert abs(abs(pairs.v_plus[0]) - 1) < 1e-12 and abs(pairs.v_plus[1]) < 1e-12
-    assert abs(pairs.v_minus[0]) < 1e-12 and abs(abs(pairs.v_minus[1]) - 1) < 1e-12
-    assert not pairs.degenerate
+    z_less, z_greater, v_less, v_greater, degenerate = eig2(np.diag([2.0, 0.5]).astype(complex))
+    assert abs(z_greater - 2.0) < 1e-14
+    assert abs(z_less - 0.5) < 1e-14
+    assert abs(abs(v_greater[0]) - 1) < 1e-12 and abs(v_greater[1]) < 1e-12
+    assert abs(v_less[0]) < 1e-12 and abs(abs(v_less[1]) - 1) < 1e-12
+    assert not degenerate
 
 
 def test_eig2_swap_matrix():
-    # [[0,1],[1,0]] has eigenvalues +/-1 with eigenvectors along [1, +/-1].
-    pairs = eig2(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-    assert abs(pairs.zeta_plus - 1.0) < 1e-14
-    assert abs(pairs.zeta_minus + 1.0) < 1e-14
-    assert abs(cross2(pairs.v_plus, np.array([1.0, 1.0]) / np.sqrt(2))) < 1e-12
-    assert abs(cross2(pairs.v_minus, np.array([1.0, -1.0]) / np.sqrt(2))) < 1e-12
+    # [[0,1],[1,0]] has eigenvalues +/-1 with eigenvectors along [1, +/-1];
+    # their moduli tie, so the + branch comes first
+    z_less, z_greater, v_less, v_greater, _ = eig2(
+        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    assert abs(z_less - 1.0) < 1e-14
+    assert abs(z_greater + 1.0) < 1e-14
+    assert abs(cross2(v_less, np.array([1.0, 1.0]) / np.sqrt(2))) < 1e-12
+    assert abs(cross2(v_greater, np.array([1.0, -1.0]) / np.sqrt(2))) < 1e-12
 
 
 def test_eig2_defective_reports_flag():
-    pairs = eig2(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
-    assert pairs.degenerate
-    assert abs(cross2(pairs.v_plus, pairs.v_minus)) < 1e-10
+    _, _, v_less, v_greater, degenerate = eig2(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+    assert degenerate
+    assert abs(cross2(v_less, v_greater)) < 1e-10
 
 
 def test_eig2_trace_det_reconstruction(rng):
-    for _ in range(10_000):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        pairs = eig2(m)
-        tr = m[0, 0] + m[1, 1]
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        scale = max(1.0, abs(tr), abs(det))
-        assert abs(pairs.zeta_plus + pairs.zeta_minus - tr) <= 1e-10 * scale
-        assert abs(pairs.zeta_plus * pairs.zeta_minus - det) <= 1e-10 * scale
+    ms = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(10_000)]
+    m00, m01, m10, m11 = stacked(ms)
+    pairs = eig2_batch(m00, m01, m10, m11)
+    tr = m00 + m11
+    det = m00 * m11 - m01 * m10
+    scale = np.maximum(1.0, np.maximum(np.abs(tr), np.abs(det)))
+    assert (np.abs(pairs.zeta_less + pairs.zeta_greater - tr) <= 1e-10 * scale).all()
+    assert (np.abs(pairs.zeta_less * pairs.zeta_greater - det) <= 1e-10 * scale).all()
+    assert (np.abs(pairs.zeta_less) <= np.abs(pairs.zeta_greater)).all()
 
 
 def test_eig2_eigenvector_residual(rng):
-    for _ in range(2000):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        pairs = eig2(m)
-        if pairs.degenerate:
-            continue
-        for z, v in ((pairs.zeta_plus, pairs.v_plus), (pairs.zeta_minus, pairs.v_minus)):
-            assert np.linalg.norm(m @ v - z * v) <= 1e-10 * max(1.0, np.abs(m).max())
+    ms = np.array([rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2000)])
+    pairs = eig2_batch(*stacked(ms))
+    keep = ~pairs.degenerate
+    bound = 1e-10 * np.maximum(1.0, np.abs(ms).max(axis=(1, 2)))[keep]
+    for z, v in ((pairs.zeta_less, pairs.v_less), (pairs.zeta_greater, pairs.v_greater)):
+        v = unit(v)
+        r = np.einsum("kij,kj->ki", ms, v) - z[:, None] * v
+        assert (np.linalg.norm(r, axis=1)[keep] <= bound).all()
 
 
 def test_matmul_associative_on_unit_norm(rng):

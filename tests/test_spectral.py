@@ -12,7 +12,7 @@ from qw3.coin import (
     phase_scale,
 )
 from qw3.evolution import apply_u
-from qw3.linalg import TAU, eig2
+from qw3.linalg import TAU
 from qw3.spectral import (
     LAMBDA0_GUARD,
     TR_TOL,
@@ -60,13 +60,20 @@ def sample_valid(rng, coin):
             return lam
 
 
+def spectrum_at(coin, lam):
+    """asymptotic_spectrum at one phase: the eigenpairs (unit vectors) and in_lambda."""
+    pairs, in_lambda, _ = asymptotic_spectrum(coin, np.exp(1j * np.array([lam])))
+    unit = [v[0] / np.linalg.norm(v[0]) for v in (pairs.v_less, pairs.v_greater)]
+    return pairs.zeta_less[0], pairs.zeta_greater[0], *unit, bool(in_lambda[0])
+
+
 def test_decay_rate_product_has_unit_modulus(rng):
     for _ in range(1000):
         c = random_coin(rng)
         lam = sample_valid(rng, c)
-        spectrum = asymptotic_spectrum(c, lam)
-        assert abs(abs(spectrum.zeta_less * spectrum.zeta_greater) - 1.0) <= 1e-10
-        assert abs(spectrum.zeta_less) <= abs(spectrum.zeta_greater) + 1e-12
+        z_less, z_greater, _, _, _ = spectrum_at(c, lam)
+        assert abs(abs(z_less * z_greater) - 1.0) <= 1e-10
+        assert abs(z_less) <= abs(z_greater) + 1e-12
 
 
 def test_outside_arcs_both_rates_on_unit_circle(rng):
@@ -74,11 +81,11 @@ def test_outside_arcs_both_rates_on_unit_circle(rng):
     for _ in range(2000):
         c = random_coin(rng)
         lam = sample_valid(rng, c)
-        spectrum = asymptotic_spectrum(c, lam)
-        if not spectrum.in_lambda:
+        z_less, z_greater, _, _, in_lambda = spectrum_at(c, lam)
+        if not in_lambda:
             count += 1
-            assert abs(abs(spectrum.zeta_less) - 1.0) <= 1e-8
-            assert abs(abs(spectrum.zeta_greater) - 1.0) <= 1e-8
+            assert abs(abs(z_less) - 1.0) <= 1e-8
+            assert abs(abs(z_greater) - 1.0) <= 1e-8
     assert count > 50  # the sample actually exercised the branch
 
 
@@ -87,21 +94,19 @@ def test_eigenpair_certification_inside_arcs(rng):
     while seen < 1000:
         c = random_coin(rng)
         lam = sample_valid(rng, c)
-        spectrum = asymptotic_spectrum(c, lam)
-        if not spectrum.in_lambda:
+        z_less, z_greater, v_less, v_greater, in_lambda = spectrum_at(c, lam)
+        if not in_lambda:
             continue
         seen += 1
         t = transfer_matrix(c, lam)
-        assert np.linalg.norm(t @ spectrum.v_less - spectrum.zeta_less * spectrum.v_less) <= 1e-9
-        assert (
-            np.linalg.norm(t @ spectrum.v_greater - spectrum.zeta_greater * spectrum.v_greater)
-            <= 1e-9
-        )
+        assert np.linalg.norm(t @ v_less - z_less * v_less) <= 1e-9
+        assert np.linalg.norm(t @ v_greater - z_greater * v_greater) <= 1e-9
 
 
 def test_asymptotic_spectrum_rejects_degenerate_phase():
-    with pytest.raises(ValueError, match="adjudicated separately"):
-        asymptotic_spectrum(make_grover(), 0.0)
+    # no transfer matrix at the degenerate phase: flagged, and kept off the arcs
+    _, in_lambda, zero = asymptotic_spectrum(make_grover(), np.array([1.0 + 0j]))
+    assert zero[0] and not in_lambda[0]
 
 
 def test_fourier_arcs_form_finite_union():
@@ -228,17 +233,31 @@ def test_build_eigenvector_properties():
     assert np.abs(ratios_l - abs(record.zeta_left)).max() < 1e-6
 
 
-def test_build_eigenvector_window_too_small():
-    field = field_one_defect(make_fourier(), phase_scale(make_fourier(), 3 * np.pi / 12))
-    lam = find_roots(field, grid_n=2000).records[0].lam
-    with pytest.raises(ValueError, match="window.*too small"):
-        build_eigenvector(field, lam, window=(-2, 2))
-
-
 def test_build_eigenvector_rejects_phase_outside_arcs():
     field = field_homogeneous(make_fourier())
     with pytest.raises(ValueError, match="outside the allowed arcs"):
         build_eigenvector(field, 0.0)
+
+
+def test_build_eigenvector_rejects_window_degenerate_phase():
+    # the defect's exceptional phase lies on the bulk's arcs, but the window
+    # chain cannot be built there: no chi-root eigenvector exists to return
+    defect = phase_scale(make_fourier(), np.pi / 12)
+    field = field_one_defect(make_fourier(), defect)
+    lam = lambda0_angle(defect)
+    assert spectrum_at(field.c_minus, lam)[-1]
+    with pytest.raises(ValueError, match="cannot be built"):
+        build_eigenvector(field, lam)
+
+
+def test_build_eigenvector_reproduces_records():
+    # find_roots certifies the vector build_eigenvector returns, bit for bit
+    for model, i in PRESET_EIGENPHASES:
+        field = preset_field(model, i)
+        for r in find_roots(field).records:
+            psi = build_eigenvector(field, r.lam)
+            assert (psi.lo, psi.hi) == (r.eigvec.lo, r.eigvec.hi), (model, i, r.lam)
+            assert (psi.amps == r.eigvec.amps).all(), (model, i, r.lam)
 
 
 def test_eigenvector_satisfies_eigen_equation():
@@ -293,7 +312,7 @@ def test_lambda0_interior_chain_between_geometric_tails():
     # the chain pinched between the Grover sites ends inside the window on
     # both sides and the eigenvector stays compact
     bulk = phase_scale(make_fourier(), np.pi / 2)
-    assert asymptotic_spectrum(bulk, 0.0).in_lambda
+    assert spectrum_at(bulk, 0.0)[-1]
     field = CoinField(bulk, bulk, -1, 1, (make_grover(), make_grover()))
     records = lambda0_adjudicate(field)
     assert len(records) == 1
@@ -471,10 +490,10 @@ def test_wide_field_matches_dense_diagonalization():
 def reference_chi(field, lam, angles):
     """|chi|, in_lambda and near_lambda0 at one phase, built independently of
     the batched kernel: transfer matrices from the rational coefficients (the
-    criterion-8 construction), eig2 for the tail eigenvalues, unnormalised
-    tail vectors from the first row of T - zeta unless the second is more
-    than twice as well conditioned, an explicit product over the window
-    sites. angles are the coins' exceptional phases; |chi| is None where chi
+    criterion-8 construction), np.linalg.eigvals for the tail eigenvalues,
+    unnormalised tail vectors from the first row of T - zeta unless the
+    second is more than twice as well conditioned, an explicit product over
+    the window sites. angles are the coins' exceptional phases; |chi| is None where chi
     is undefined."""
     el = np.exp(1j * lam)
 
@@ -491,10 +510,9 @@ def reference_chi(field, lam, angles):
         t = transfer(coin)
         if t is None:
             return None, False, True
-        pairs = eig2(t)
-        inside = abs(t[0, 0] + t[1, 1]) > 2.0 + TR_TOL and not pairs.degenerate
+        inside = abs(t[0, 0] + t[1, 1]) > 2.0 + TR_TOL
         rows = []
-        for z in sorted((pairs.zeta_plus, pairs.zeta_minus), key=abs):
+        for z in sorted(np.linalg.eigvals(t), key=abs):
             first = np.array([t[0, 1], z - t[0, 0]])
             second = np.array([z - t[1, 1], t[1, 0]])
             rows.append(first if 2 * np.linalg.norm(first) >= np.linalg.norm(second)

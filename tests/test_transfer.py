@@ -214,21 +214,23 @@ def test_iota_inverse_of_transfer_chain_is_eigenvector():
 
     field = field_one_defect(make_fourier(), phase_scale(make_fourier(), np.pi / 12))
     lam = find_roots(field, grid_n=1000).records[0].lam
-    spec_minus = asymptotic_spectrum(field.c_minus, lam)
-    spec_plus = asymptotic_spectrum(field.c_plus, lam)
+    el = np.exp(1j * np.array([lam]))
+    left, _, _ = asymptotic_spectrum(field.c_minus, el)
+    right, _, _ = asymptotic_spectrum(field.c_plus, el)
+    z_greater, z_less = left.zeta_greater[0], right.zeta_less[0]
     # enough sites for both geometric tails to fall below 1e-12
-    m = int(np.ceil(np.log(1e-12) / np.log(abs(spec_plus.zeta_less))))
-    m = max(m, int(np.ceil(-np.log(1e-12) / np.log(abs(spec_minus.zeta_greater)))))
+    m = int(np.ceil(np.log(1e-12) / np.log(abs(z_less))))
+    m = max(m, int(np.ceil(-np.log(1e-12) / np.log(abs(z_greater)))))
     lo, hi = field.x_minus - m, field.x_plus + m
     values = np.zeros((hi - lo + 1, 2), dtype=complex)
-    v = spec_minus.v_greater
+    v = left.v_greater[0]
     values[field.x_minus - lo] = v
     for x in range(field.x_minus, field.x_plus):
         v = transfer_matrix(field.lookup(x), lam) @ v
         values[x + 1 - lo] = v
     for j in range(1, m + 1):
-        values[field.x_plus + j - lo] = (spec_plus.zeta_less**j) * values[field.x_plus - lo]
-        values[field.x_minus - j - lo] = (spec_minus.zeta_greater**-j) * values[field.x_minus - lo]
+        values[field.x_plus + j - lo] = (z_less**j) * values[field.x_plus - lo]
+        values[field.x_minus - j - lo] = (z_greater**-j) * values[field.x_minus - lo]
     psi = iota_inverse(ReducedState(lo, hi, values), field, lam).normalized()
     assert operator_residual(field, lam, psi) <= 1e-8
 
