@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TAU
+from .linalg import wrap_phase
 
 UNITARY_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
@@ -56,7 +56,7 @@ class CoinMatrix:
             raise ConfigError(f"coin determinant has modulus {abs(det):.12f}, expected 1")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
-        object.__setattr__(self, "det_phase", float(np.angle(det) % TAU))
+        object.__setattr__(self, "det_phase", float(wrap_phase(np.angle(det))))
 
     @property
     def det_unit(self) -> complex:

@@ -1,8 +1,8 @@
-"""Small fixed-size complex linear algebra kernels.
+"""Phase arithmetic and 2x2 complex linear algebra kernels.
 
-Everything here works on plain numpy arrays of shape (2,), (3,), (2, 2) or
-(3, 3) with dtype complex128. No general n x n machinery: the scan loops only
-ever need these sizes, and fixed shapes keep them allocation-light.
+The eigenpair kernel takes a stack of n 2x2 matrices entry by entry, as
+(n,) arrays of dtype complex128, so one call serves a whole phase grid. No
+general matrix sizes: the transfer reduction only ever needs 2x2.
 """
 
 from __future__ import annotations
@@ -22,6 +22,15 @@ def angle_dist(a, b):
     """Distance between two phases on the circle, in [0, pi], elementwise on arrays."""
     d = np.abs(a - b) % TAU
     return np.minimum(d, TAU - d)
+
+
+def wrap_phase(a):
+    """A phase reduced to [0, 2pi), elementwise on arrays.
+
+    a % TAU alone rounds a tiny negative a up to TAU itself; that maps to 0.
+    """
+    a = a % TAU
+    return a - TAU * (a == TAU)
 
 
 def branch_sqrt(a):

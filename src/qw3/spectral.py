@@ -20,11 +20,10 @@ import numpy as np
 
 from .coin import CoinField, CoinMatrix
 from .evolution import StateVector, apply_u
-from .linalg import TAU, Eig2, angle_dist, cross2, eig2_batch, phase_fix
+from .linalg import TAU, Eig2, angle_dist, cross2, eig2_batch, phase_fix, wrap_phase
 from .transfer import (
     ReducedState,
     a_zero,
-    compact_support_condition,
     iota_inverse,
     lambda0_angle,
     transfer_batch,
@@ -314,10 +313,10 @@ def find_roots(
 
     x0 = lams[minima].astype(complex)
     xs, converged, stalled = _secant(chi_at, x0, x0 + TAU / grid_n / 4, refine_tol)
-    diagnostics: list[dict] = [{"kind": "refine-nonconverged", "lambda": float(x.real % TAU)}
+    diagnostics: list[dict] = [{"kind": "refine-nonconverged", "lambda": float(wrap_phase(x.real))}
                                for x in xs[stalled]]
     merged: list[float] = []
-    for lam in np.sort(xs[converged & (np.abs(xs.imag) <= IM_TOL)].real % TAU):
+    for lam in np.sort(wrap_phase(xs[converged & (np.abs(xs.imag) <= IM_TOL)].real)):
         if not merged or angle_dist(lam, merged[-1]) > 1e-9:
             merged.append(lam)
     if len(merged) > 1 and angle_dist(merged[0], merged[-1]) <= 1e-9:
@@ -347,21 +346,19 @@ def find_roots(
 # --- adjudication of the degenerate phases ---------------------------------
 
 
-def _tail(coin: CoinMatrix, lam: float, right: bool) -> tuple[np.ndarray | None, complex]:
+def _tail(coin: CoinMatrix, lam: float, right: bool) -> tuple[np.ndarray, complex]:
     """Admissible direction of the reduced state at a window edge, and its rate.
 
     coin is the asymptotic coin beyond that edge: c_plus seen from the right
     (right=True, direction at x_plus), c_minus seen from the left (at
-    x_minus). The rate is 0 for a compact tail. None means only the zero
-    tail is square-summable.
+    x_minus). The rate is 0 for a compact tail. The zero vector means only
+    the zero tail is square-summable.
     """
     pairs, in_lambda, zero = asymptotic_spectrum(coin, np.exp(1j * np.array([lam])))
     if zero[0]:
-        left_vec, right_vec = zero_case_vectors(coin)
-        vec = left_vec if right else right_vec
-        return (vec if np.linalg.norm(vec) > 0 else None), 0j
+        return zero_case_vectors(coin)[0 if right else 1], 0j
     if not in_lambda[0]:
-        return None, 0j
+        return np.zeros(2, dtype=complex), 0j
     if right:
         vec, rate = pairs.v_less[0], pairs.zeta_less[0]
     else:
@@ -386,44 +383,45 @@ def _propagate(field: CoinField, el, start: np.ndarray, x_from: int, x_to: int):
     return np.array(values), hit
 
 
+def _lands(v: np.ndarray, direction: np.ndarray) -> bool:
+    """Whether v is nonzero and parallel, within PARALLEL_TOL, to the unit
+    vector direction; nothing lands on the zero vector (an absent direction)."""
+    n = np.linalg.norm(v)
+    return bool(n > 0.0 and direction.any() and abs(cross2(v / n, direction)) <= PARALLEL_TOL)
+
+
 def _segment_solutions(
-    field: CoinField, lam: float, v_left: np.ndarray | None, v_right: np.ndarray | None
-) -> list[tuple[int, np.ndarray]]:
+    field: CoinField, lam: float
+) -> list[tuple[int, np.ndarray, complex, complex]]:
     """Nonzero solutions of the rank-one constraint chain at a degenerate phase.
 
     The window splits into segments at the sites whose transfer matrix cannot
     be built. Each segment is anchored on a one-dimensional subspace at its
-    left end (the boundary tail direction v_left, or the rank-one direction
-    handed over by the break on its left) and must land, after the transfer
-    chain, on the subspace required at its right end (v_right for the last).
-    Every viable segment yields an independent eigenvector; segments are
-    returned as (start position, values).
+    left end (the left tail's direction, or the one handed over by the break
+    on its left) and is viable iff the transfer chain lands it on the
+    direction required at its right end (the right tail's, for the last).
+    Every viable segment yields an independent eigenvector, returned as
+    _lift takes it: (start, values, rate_left, rate_right), where a tail rate
+    is kept only on a side where the segment reaches the window edge.
     """
     xm, xp = field.x_minus, field.x_plus
-    breaks = [x for x in range(xm, xp) if a_zero(field.lookup(x), lam)]
-
-    segments: list[tuple[int, np.ndarray | None, int, np.ndarray | None]] = []
-    start, anchor = xm, v_left
-    for b in breaks:
+    v_left, rate_left = _tail(field.c_minus, lam, right=False)
+    v_right, rate_right = _tail(field.c_plus, lam, right=True)
+    segments = []
+    start, anchor, rate = xm, v_left, rate_left
+    for b in (x for x in range(xm, xp) if a_zero(field.lookup(x), lam)):
         end_dir, next_anchor = zero_case_vectors(field.lookup(b))
-        segments.append((start, anchor,
-                         b, end_dir if np.linalg.norm(end_dir) > 0 else None))
-        start = b + 1
-        anchor = next_anchor if np.linalg.norm(next_anchor) > 0 else None
-    segments.append((start, anchor, xp, v_right))
+        segments.append((start, anchor, b, end_dir, rate, 0j))
+        start, anchor, rate = b + 1, next_anchor, 0j
+    segments.append((start, anchor, xp, v_right, rate, rate_right))
 
-    solutions: list[tuple[int, np.ndarray]] = []
-    for start, anchor, end, end_dir in segments:
-        if anchor is None or end_dir is None:
-            continue
-        values, hit = _propagate(field, np.exp(1j * lam), anchor, start, end)
-        if hit:
-            continue
-        final = values[-1]
-        n = np.linalg.norm(final)
-        if n == 0.0 or abs(cross2(final / n, end_dir)) > PARALLEL_TOL:
-            continue
-        solutions.append((start, values))
+    solutions = []
+    for start, anchor, end, end_dir, rate_l, rate_r in segments:
+        # a segment ends before the next break, so its chain is always built
+        if anchor.any() and end_dir.any():
+            values, _ = _propagate(field, np.exp(1j * lam), anchor, start, end)
+            if _lands(values[-1], end_dir):
+                solutions.append((start, values, rate_l, rate_r))
     return solutions
 
 
@@ -432,11 +430,10 @@ def lambda0_adjudicate(field: CoinField) -> list[EigenvalueRecord]:
 
     At such a phase the transfer recursion is replaced by rank-one constraints
     wherever it degenerates. Three mechanisms can produce a square-summable
-    solution: a compactly supported bump inside an asymptotic region whose
-    coin admits compact tails, a viable constraint-chain segment through the
-    window, or a combination anchored on a geometrically decaying tail. Each
-    phase that admits one yields a certified record; phases that admit none
-    are dropped.
+    solution: a compactly supported bump inside an asymptotic region, a
+    viable constraint-chain segment through the window, or a combination
+    anchored on a geometrically decaying tail. Each phase that admits one
+    yields a certified record; phases that admit none are dropped.
     """
     records: list[EigenvalueRecord] = []
     for lam in lambda0_set(field):
@@ -467,30 +464,19 @@ def _lambda0_solution(
     and the left/right tail rates (0 on a side where the solution is
     compactly supported).
     """
-    xm, xp = field.x_minus, field.x_plus
+    # A compact bump strictly inside an asymptotic region is the chain of
+    # length zero there: the direction the region's coin hands over to a site
+    # must land on the one it requires at that site.
+    for coin, x in ((field.c_plus, field.x_plus + 1), (field.c_minus, field.x_minus - 1)):
+        if a_zero(coin, lam):
+            required, handed = zero_case_vectors(coin)
+            if _lands(handed, required):
+                return x, handed[None, :], 0j, 0j
 
-    # Compact bump strictly inside an asymptotic region: possible only when
-    # that region's coin pins both neighbouring constraints to one direction.
-    for coin, x in ((field.c_plus, xp + 1), (field.c_minus, xm - 1)):
-        if a_zero(coin, lam) and compact_support_condition(coin):
-            direction, _ = zero_case_vectors(coin)
-            if np.linalg.norm(direction) > 0:
-                return x, direction[None, :], 0j, 0j
-
-    v_left, rate_left = _tail(field.c_minus, lam, right=False)
-    v_right, rate_right = _tail(field.c_plus, lam, right=True)
-    solutions = _segment_solutions(field, lam, v_left, v_right)
+    solutions = _segment_solutions(field, lam)
     if not solutions:
         return None
     if len(solutions) > 1:
         log.info("degenerate phase lam=%.12f admits %d independent constraint-chain "
                  "solutions; building the leftmost", lam, len(solutions))
-    start, values = solutions[0]
-    end = start + len(values) - 1
-    # a geometric tail continues the solution only where it reaches a window
-    # edge; where it ends at a break it stops there (compact on that side)
-    if start != xm:
-        rate_left = 0j
-    if end != xp:
-        rate_right = 0j
-    return start, values, rate_left, rate_right
+    return solutions[0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coin import CoinField, CoinMatrix
 from .evolution import StateVector, coin_stack
-from .linalg import TAU, phase_fix
+from .linalg import phase_fix, wrap_phase
 
 log = logging.getLogger(__name__)
 
@@ -29,8 +29,6 @@ ZERO_TOL = 1e-9
 
 # |a11| and |a33| must agree to this tolerance for a vanishing phase to exist.
 MODULUS_TOL = 1e-10
-
-COMPACT_TOL = 1e-10
 
 
 def _divisor(coin: CoinMatrix, el):
@@ -84,7 +82,7 @@ def lambda0_angle(coin: CoinMatrix) -> float | None:
         log.warning("coin with vanishing (1,1) and (3,3) entries: no isolated "
                     "degenerate phase exists")
         return None
-    return float(np.angle(coin.det_unit * np.conj(m[2, 2]) / m[0, 0]) % TAU)
+    return float(wrap_phase(np.angle(coin.det_unit * np.conj(m[2, 2]) / m[0, 0])))
 
 
 def zero_case_vectors(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -109,25 +107,6 @@ def zero_case_vectors(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray]:
     left = np.array([m[2, 2] * np.conj(m[2, 1]), np.conj(m[0, 0]) * m[1, 0]], dtype=complex)
     right = np.array([np.conj(m[0, 0]) * m[0, 1], m[2, 2] * np.conj(m[1, 2])], dtype=complex)
     return _norm(left), _norm(right)
-
-
-def compact_support_condition(coin: CoinMatrix) -> bool:
-    """Whether compactly supported tails can extend through this coin's region.
-
-    Checks the ratio identity (a33 / conj(a11))^2 == a12 a21 / (conj(a32) conj(a23)),
-    equivalently that the two zero-case constraint directions are parallel.
-    Returns False when a denominator vanishes: that corner is not covered by
-    the tail construction, so no compact tail is claimed.
-    """
-    m = coin.mat
-    lhs_den = np.conj(m[0, 0]) ** 2
-    rhs_den = np.conj(m[2, 1]) * np.conj(m[1, 2])
-    if abs(lhs_den) <= COMPACT_TOL or abs(rhs_den) <= COMPACT_TOL:
-        log.info("compact-support ratio check skipped: vanishing denominator")
-        return False
-    lhs = m[2, 2] ** 2 / lhs_den
-    rhs = m[0, 1] * m[1, 0] / rhs_den
-    return bool(abs(lhs - rhs) <= COMPACT_TOL * max(1.0, abs(lhs), abs(rhs)))
 
 
 @dataclass(frozen=True)

@@ -247,3 +247,38 @@ def test_eigvec_matches_phase_modulo_two_pi(tmp_path, capsys):
     assert code == 2
     # the hint names the root that is nearest on the circle first
     assert f"nearest roots: {lam:.17g}" in capsys.readouterr().err
+
+
+def test_roots_config_error_exit2(tmp_path, capsys):
+    cfg = tmp_path / "field.json"
+    cfg.write_text(json.dumps({"model": "ring"}))
+    assert main(["roots", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert "configuration error: unknown model 'ring'" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_evolve_rejects_bad_initial_spinor(tmp_path, capsys):
+    base = ["evolve", "--model", "homogeneous", "--t", "3", "--out", str(tmp_path / "e.csv")]
+    assert main(base + ["--psi0", "0", "0", "0", "0", "0", "0"]) == 2
+    assert "--psi0 must be a nonzero spinor" in capsys.readouterr().err
+    assert main(base + ["--psi0-site", "99"]) == 2
+    assert "--psi0-site 99 outside the window [-9, 9]" in capsys.readouterr().err
+
+
+def test_evolve_custom_initial_spinor_conserves_norm(tmp_path):
+    out = tmp_path / "e.csv"
+    assert main(["evolve", "--model", "one-defect", "--theta", "0.7854", "--t", "20",
+                 "--psi0", "1", "0", "0", "0.5", "0", "-2", "--psi0-site", "1",
+                 "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header == ["x", "prob"]
+    assert abs(sum(float(r[1]) for r in rows) - 1.0) <= 1e-12
+
+
+def test_demo_fig2(tmp_path):
+    out = tmp_path / "fig2.csv"
+    assert main(["demo", "fig2", "--theta-index", "1", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header == ["x", "prob"]
+    assert len(rows) == 2 * 106 + 1
+    assert abs(sum(float(r[1]) for r in rows) - 1.0) <= 1e-12

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,49 @@ def test_parse_rejects_malformed():
         parse_field_config({"c_minus": {"preset": "fourier"}})
     with pytest.raises(ConfigError, match="unknown preset"):
         parse_field_config({"model": "homogeneous", "coin": {"preset": "identity"}})
+
+
+FOURIER = {"preset": "fourier"}
+
+
+def general_form(**overrides):
+    doc = {"c_minus": FOURIER, "c_plus": FOURIER, "x_minus": 0, "x_plus": 0,
+           "defects": []}
+    return {**doc, **overrides}
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: parse_field_config({"model": "homogeneous", "coin": [1]}),
+                 "coin: coin must be an object, got list", id="coin-not-object"),
+    pytest.param(lambda: parse_field_config(
+        {"model": "homogeneous", "coin": {"preset": "fourier", "phase": "pi"}}),
+        "coin: phase must be a number", id="phase-not-numeric"),
+    pytest.param(lambda: parse_field_config(
+        {"model": "homogeneous", "coin": {"rows": [[1, 0, 0]] * 3}}),
+        "coin: rows must be a 3x3 nesting of [re, im] pairs", id="rows-not-pairs"),
+    pytest.param(lambda: parse_field_config(
+        {"model": "homogeneous", "coin": {"rows": [[[1, 0], [0, 0]]] * 2}}),
+        "coin: rows must be 3x3, got (2, 2)", id="rows-not-3x3"),
+    pytest.param(lambda: parse_field_config({"model": "homogeneous", "coin": {}}),
+                 "coin: coin needs either 'preset' or 'rows'", id="coin-without-entries"),
+    pytest.param(lambda: parse_field_config("[1, 2]"),
+                 "config root must be a JSON object", id="root-not-object"),
+    pytest.param(lambda: parse_field_config({"model": "ring"}),
+                 "unknown model 'ring'", id="unknown-model"),
+    pytest.param(lambda: parse_field_config(general_form(x_minus=-0.5)),
+                 "x_minus and x_plus must be integers", id="x-minus-not-integer"),
+    pytest.param(lambda: parse_field_config(general_form(x_plus="1")),
+                 "x_minus and x_plus must be integers", id="x-plus-not-integer"),
+    pytest.param(lambda: parse_field_config(general_form(defects={})),
+                 "defects must be a list of coins", id="defects-not-list"),
+    pytest.param(lambda: CoinMatrix(np.eye(2)), "coin must be 3x3, got shape (2, 2)",
+                 id="matrix-not-3x3"),
+    pytest.param(lambda: CoinMatrix(np.full((3, 3), np.nan)),
+                 "coin has non-finite entries", id="matrix-not-finite"),
+])
+def test_outside_input_errors_name_the_fault(build, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build()
 
 
 def test_parse_rejects_non_unitary_naming_position():

@@ -553,3 +553,33 @@ def test_batched_chi_matches_scalar_reference():
     for model, in_lambda in (("one-defect", True), ("two-phase", False)):
         value, inside, near = chi_batch(preset_field(model, 0), np.array([lam0]), [])
         assert (np.isnan(value[0]), inside[0], near[0]) == (True, in_lambda, True)
+
+
+def test_phases_just_below_zero_wrap_to_zero():
+    # rotating every coin by e^{i theta} shifts the spectrum by theta; here
+    # the one-defect root 2.1727938107788... lands a rounding error below 0
+    def rot(coin):
+        return phase_scale(coin, -2.1727938107788716)
+
+    field = field_one_defect(rot(make_fourier()), rot(phase_scale(make_fourier(), THETAS[0])))
+    lams = [r.lam for r in find_roots(field).records]
+    assert len(lams) == 3 and lams == sorted(lams)
+    assert all(0.0 <= lam < TAU for lam in lams)
+    assert lams[0] < 1e-9
+    # the degenerate phase of a coin rotated onto 0, and a determinant phase
+    angle = lambda0_angle(phase_scale(make_fourier(), -lambda0_angle(make_fourier())))
+    assert 0.0 <= angle < 1e-12
+    assert phase_scale(make_grover(), -1e-17).det_phase == 0.0
+
+
+def test_rejected_candidates_are_reported(monkeypatch, caplog):
+    # a negative tolerance rejects every certificate, even an exact one
+    monkeypatch.setattr("qw3.spectral.RESIDUAL_TOL", -1.0)
+    scan = find_roots(preset_field("one-defect", 0))
+    assert scan.records == []
+    assert [d["kind"] for d in scan.diagnostics] == ["residual-violation"] * 3
+    assert all(d["op_residual"] <= 1e-8 for d in scan.diagnostics)
+    with caplog.at_level("WARNING", logger="qw3.spectral"):
+        assert lambda0_adjudicate(field_homogeneous(make_grover())) == []
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and "rejected" in warnings[0].getMessage()

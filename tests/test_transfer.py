@@ -2,10 +2,10 @@ import numpy as np
 
 from qw3.coin import CoinMatrix, make_fourier, make_grover, phase_scale
 from qw3.linalg import TAU, cross2
+from qw3.spectral import _lands
 from qw3.transfer import (
     ReducedState,
     a_zero,
-    compact_support_condition,
     iota_inverse,
     lambda0_angle,
     zero_case_vectors,
@@ -150,12 +150,32 @@ def test_zero_case_vectors_zero_vector_allowed():
     assert np.linalg.norm(left) == 0.0
 
 
+def ratio_identity(coin: CoinMatrix) -> bool:
+    """The paper's compact-support condition (a33 / conj(a11))^2 ==
+    a12 a21 / (conj(a32) conj(a23)); False where a denominator vanishes."""
+    m = coin.mat
+    lhs_den = np.conj(m[0, 0]) ** 2
+    rhs_den = np.conj(m[2, 1]) * np.conj(m[1, 2])
+    if abs(lhs_den) <= 1e-10 or abs(rhs_den) <= 1e-10:
+        return False
+    lhs = m[2, 2] ** 2 / lhs_den
+    rhs = m[0, 1] * m[1, 0] / rhs_den
+    return bool(abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs)))
+
+
+def bump_lands(coin: CoinMatrix) -> bool:
+    """The landing rule for a compact bump: the direction the coin hands
+    over to the next site lands on the one it requires there."""
+    required, handed = zero_case_vectors(coin)
+    return _lands(handed, required)
+
+
 def test_compact_support_condition_grover():
-    assert compact_support_condition(make_grover())
+    assert bump_lands(make_grover()) and ratio_identity(make_grover())
 
 
 def test_compact_support_condition_fourier():
-    assert not compact_support_condition(make_fourier())
+    assert not bump_lands(make_fourier()) and not ratio_identity(make_fourier())
 
 
 def test_compact_support_condition_zero_numerator():
@@ -168,7 +188,20 @@ def test_compact_support_condition_zero_numerator():
     m = coin.mat
     assert abs(m[0, 1]) < 1e-15 and abs(m[2, 2]) > 0.1
     assert abs(m[2, 1] * m[1, 2]) > 1e-3  # the guarded denominator is healthy
-    assert not compact_support_condition(coin)
+    assert not bump_lands(coin) and not ratio_identity(coin)
+
+
+def test_bump_landing_rule_matches_ratio_identity(rng):
+    # dressed Grover coins D1 G D2 (D = diag(p), diag(q)) admit a bump iff
+    # p2^2 q2^2 = p1 p3 q1 q3; Haar coins generically do not
+    for k in range(400):
+        p, q = np.exp(1j * rng.uniform(0, TAU, (2, 3)))
+        if k % 2:
+            q[1] = np.sqrt(p[0] * p[2] * q[0] * q[2]) / p[1]
+        coin = CoinMatrix(np.diag(p) @ make_grover().mat @ np.diag(q))
+        assert bump_lands(coin) == ratio_identity(coin) == bool(k % 2)
+        haar = random_coin(rng)
+        assert bump_lands(haar) == ratio_identity(haar)
 
 
 def test_iota_inverse_zero_maps_to_zero(rng):
