@@ -4,7 +4,8 @@ One step applies the site coin and then shifts: component 1 moves one site
 left, component 3 one site right, component 2 stays. A hard zero boundary with
 a light-cone-sized margin reproduces the infinite lattice exactly until the
 cone touches the edge; amplitude reaching the outermost sites flags the state
-as leaked and invalidates the run.
+as leaked and invalidates the run. A run steps only the forward light cone of
+the initial support, cut to the sites that can still reach what is read.
 """
 
 from __future__ import annotations
@@ -110,31 +111,41 @@ def apply_u(field: CoinField, psi: StateVector) -> StateVector:
     return StateVector(psi.lo, psi.hi, _step(coins, psi.amps), leaked)
 
 
-def _require_margin(psi0: StateVector, steps: int) -> None:
-    norms = psi0.site_norms()
-    occupied = np.nonzero(norms > 0.0)[0]
+def _require_margin(psi0: StateVector, steps: int) -> tuple[int, int]:
+    """The first and last occupied rows of psi0, once the window clears the cone."""
+    occupied = np.nonzero(psi0.site_norms() > 0.0)[0]
     if occupied.size == 0:
         raise ValueError("initial state is identically zero")
-    s_lo = psi0.lo + int(occupied[0])
-    s_hi = psi0.lo + int(occupied[-1])
+    i_lo, i_hi = int(occupied[0]), int(occupied[-1])
     need = steps + MARGIN
-    if s_lo - psi0.lo < need or psi0.hi - s_hi < need:
-        required = max(abs(s_lo), abs(s_hi)) + need
+    if i_lo < need or psi0.hi - psi0.lo - i_hi < need:
+        required = max(abs(psi0.lo + i_lo), abs(psi0.lo + i_hi)) + need
         raise SimulationError(
             f"window [{psi0.lo}, {psi0.hi}] too small for {steps} steps: "
             f"need at least {need} empty sites on each side of the support "
             f"(half-width >= {required} for a symmetric window)"
         )
+    return i_lo, i_hi
 
 
-def _run(field: CoinField, psi0: StateVector, steps: int):
-    """The amplitudes at times 1..steps. The window must clear the light cone."""
-    _require_margin(psi0, steps)
+def _run(field: CoinField, psi0: StateVector, steps: int, horizon: int | None = None):
+    """The states at times 1..steps as (amps, a, b), only rows a..b stepped:
+    the forward light cone of the initial support, cut, given a horizon, to
+    the backward cone |x| <= horizon - t of the origin. Each row is _step's,
+    bit for bit; rows outside the forward cone hold exact zeros, those outside
+    the backward cone stale values. amps is one of two reused buffers.
+    """
+    i_lo, i_hi = _require_margin(psi0, steps)
     coins = coin_stack(field, psi0.lo, psi0.hi)
-    amps = psi0.amps
-    for _ in range(steps):
-        amps = _step(coins, amps)
-        yield amps
+    cur, nxt = psi0.amps.copy(), np.zeros_like(psi0.amps)
+    for t in range(1, steps + 1):
+        a, b = i_lo - t, i_hi + t
+        if horizon is not None:
+            a, b = max(a, t - horizon - psi0.lo), min(b, horizon - t - psi0.lo)
+        if a <= b:
+            nxt[a : b + 1] = _step(coins[a - 1 : b + 2], cur[a - 1 : b + 2])[1:-1]
+        cur, nxt = nxt, cur
+        yield cur, a, b
 
 
 def evolve(field: CoinField, psi0: StateVector, steps: int) -> list[Distribution]:
@@ -142,8 +153,10 @@ def evolve(field: CoinField, psi0: StateVector, steps: int) -> list[Distribution
     if steps < 0:
         raise ValueError("steps must be non-negative")
     out = [psi0.distribution(0)]
-    for t, amps in enumerate(_run(field, psi0, steps), start=1):
-        out.append(Distribution(psi0.lo, psi0.hi, (np.abs(amps) ** 2).sum(axis=1), t))
+    for t, (amps, a, b) in enumerate(_run(field, psi0, steps), start=1):
+        probs = np.zeros(len(amps))
+        probs[a : b + 1] = (np.abs(amps[a : b + 1]) ** 2).sum(axis=1)
+        out.append(Distribution(psi0.lo, psi0.hi, probs, t))
     return out
 
 
@@ -154,6 +167,6 @@ def time_averaged_origin(field: CoinField, psi0: StateVector, t_max: int) -> flo
     if not psi0.lo <= 0 <= psi0.hi:
         raise ValueError("window must contain the origin")
     acc = 0.0
-    for amps in _run(field, psi0, t_max):
+    for amps, _, _ in _run(field, psi0, t_max, horizon=t_max):
         acc += float((np.abs(amps[-psi0.lo]) ** 2).sum())
     return acc / t_max

@@ -203,27 +203,34 @@ def _lift(
 def _chains(field: CoinField, lams: np.ndarray):
     """Window chains and tail rates at an array of phases.
 
-    The left tail's growing eigenvector is pushed through the window by the
-    transfer chain. Returns the values at sites x_minus..x_plus (stacked on
-    the first axis), the left tail's zeta_greater, the right tail's
-    zeta_less, and ok: both tails on the allowed arcs and every transfer
-    matrix of the chain built.
+    The left tail's growing eigenvector is pushed forward (F), the right
+    tail's decaying one backward (B); each is accurate until rounding noise
+    grows in it. A chain is F up to the site j where min(|F_j|/max|F|,
+    |B_j|/max|B|) peaks and B scaled by <B_j, F_j>/<B_j, B_j> beyond. Returns
+    the chains at sites x_minus..x_plus (first axis), the left tail's
+    zeta_greater, the right tail's zeta_less, and ok: both tails on the arcs
+    and every transfer matrix of the chain built.
     """
     el = np.exp(1j * lams)
     left, in_left, _ = asymptotic_spectrum(field.c_minus, el)
     right, in_right, _ = asymptotic_spectrum(field.c_plus, el)
-    chains, hit = _propagate(field, el, left.v_greater, field.x_minus, field.x_plus)
+    f, hit = _propagate(field, el, left.v_greater, field.x_minus, field.x_plus)
+    b, _ = _propagate(field, el, right.v_less, field.x_minus, field.x_plus, backward=True)
+    nf, nb = np.linalg.norm(f, axis=-1), np.linalg.norm(b, axis=-1)
+    j = np.argmax(np.minimum(nf / nf.max(axis=0), nb / nb.max(axis=0)), axis=0)
+    fj, bj = f[j, np.arange(len(lams))], b[j, np.arange(len(lams))]
+    scale = (bj.conj() * fj).sum(axis=-1) / (bj.conj() * bj).sum(axis=-1)
+    chains = np.where((np.arange(len(f))[:, None] > j)[..., None], scale[:, None] * b, f)
     return chains, left.zeta_greater, right.zeta_less, in_left & in_right & ~hit
 
 
 def build_eigenvector(field: CoinField, lam: float) -> StateVector:
     """Reconstruct the (unit, phase-fixed) eigenvector for an eigenphase lam.
 
-    The reduced state is the left tail's growing eigendirection, decayed
-    geometrically for x <= x_minus, pushed through the window by the transfer
-    chain, and continued with the right decay rate for x >= x_plus; it is then
-    lifted back to three components. This is the construction find_roots
-    certifies, so at a record's phase it returns the record's eigenvector.
+    Its reduced state is the window chain of _chains with geometric tails
+    beyond both window edges, lifted back to three components. This is the
+    construction find_roots certifies, so at a record's phase it returns the
+    record's eigenvector.
     """
     chains, zg, zl, ok = _chains(field, np.array([lam]))
     if not ok[0]:
@@ -366,21 +373,27 @@ def _tail(coin: CoinMatrix, lam: float, right: bool) -> tuple[np.ndarray, comple
     return vec / np.linalg.norm(vec), rate
 
 
-def _propagate(field: CoinField, el, start: np.ndarray, x_from: int, x_to: int):
+def _propagate(field: CoinField, el, start: np.ndarray, x_from: int, x_to: int,
+               backward: bool = False):
     """The transfer chain over sites [x_from, x_to) applied to start.
 
     el is e^{i lam}, a scalar or an array of n phases, and start has shape
-    (2,) or (n, 2). Returns the values at sites x_from..x_to stacked on a
-    new first axis, and where a transfer matrix could not be built.
+    (2,) or (n, 2), at x_from, or at x_to when backward: T_x^-1 =
+    adj(T_x)/det(T_x) then carries x + 1 to x. Returns the values at sites
+    x_from..x_to stacked on a new first axis, and where a transfer matrix
+    could not be built.
     """
     values = [start]
     hit = np.zeros(np.shape(el), dtype=bool)
-    for x in range(x_from, x_to):
+    for x in range(x_to - 1, x_from - 1, -1) if backward else range(x_from, x_to):
         (t00, t01, t10, t11), zero = transfer_batch(field.lookup(x), el)
         hit |= zero
+        if backward:
+            det = np.where(zero, 1.0, t00 * t11 - t01 * t10)
+            t00, t01, t10, t11 = t11 / det, -t01 / det, -t10 / det, t00 / det
         v0, v1 = values[-1][..., 0], values[-1][..., 1]
         values.append(np.stack([t00 * v0 + t01 * v1, t10 * v0 + t11 * v1], axis=-1))
-    return np.array(values), hit
+    return np.array(values[::-1] if backward else values), hit
 
 
 def _lands(v: np.ndarray, direction: np.ndarray) -> bool:

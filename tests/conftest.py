@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qw3.coin import CoinMatrix
+from qw3.coin import CoinField, CoinMatrix, ConfigError, make_fourier, make_grover, phase_scale
 from qw3.evolution import StateVector
 from qw3.transfer import ReducedState, transfer_batch
 
@@ -56,6 +56,35 @@ def iota(state: StateVector) -> ReducedState:
     values[1:, 0] = state.amps[:, 0]
     values[: state.hi - state.lo + 1, 1] = state.amps[:, 2]
     return ReducedState(lo, hi, values)
+
+
+def bench_wide_field(seed: int, index: int) -> CoinField:
+    """Field `index` of the benchmark's wide-windows inputs for `seed`.
+
+    Rebuilt from the same draws as bench/workloads.py:wide_fields, so that a
+    field seen there can be a fixed test input: twelve window lengths, each
+    with Fourier and then with random tails (from a fixed stream), a quarter
+    of the sites phase-scaled Grover coins and the rest Haar-random.
+    """
+    def haar_coin(r):
+        while True:
+            z = r.normal(size=(3, 3)) + 1j * r.normal(size=(3, 3))
+            q, upper = np.linalg.qr(z)
+            d = upper.diagonal()
+            try:
+                return CoinMatrix(q * (d / np.abs(d)))
+            except ConfigError:
+                continue
+
+    window_rng, tail_rng = np.random.default_rng(seed), np.random.default_rng(20231111)
+    sizes = [n for n in (16, 17, 19, 20, 22, 23, 25, 26, 28, 29, 31, 32) for _ in range(2)]
+    for i, sites in enumerate(sizes[: index + 1]):
+        tails = ((make_fourier(), make_fourier()) if i % 2 == 0
+                 else (haar_coin(tail_rng), haar_coin(tail_rng)))
+        grover = set(window_rng.choice(sites, size=sites // 4, replace=False).tolist())
+        defects = tuple(phase_scale(make_grover(), float(window_rng.uniform(0.0, 2 * np.pi)))
+                        if site in grover else haar_coin(window_rng) for site in range(sites))
+    return CoinField(*tails, -(sites // 2), sites - sites // 2, defects)
 
 
 @pytest.fixture

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from qw3.coin import field_homogeneous, field_one_defect, make_fourier, phase_scale
+from qw3.coin import (
+    field_homogeneous,
+    field_one_defect,
+    field_two_phase,
+    make_fourier,
+    phase_scale,
+)
 from qw3.evolution import (
     SimulationError,
     StateVector,
@@ -12,7 +18,7 @@ from qw3.evolution import (
 )
 from qw3.spectral import find_roots
 
-from conftest import random_coin
+from conftest import THETAS, random_coin
 
 
 def random_state(rng, half_width=30, spread=10):
@@ -176,3 +182,54 @@ def test_eigenvector_distribution_is_stationary():
         state = apply_u(field, state)
         assert not state.leaked
         assert np.abs(state.distribution().probs - mu0).max() <= 1e-8
+
+
+def whole_window_run(field, psi0, steps):
+    """Distributions at times 0..steps and the origin's time average, every
+    step taken over the whole window (the reference the light-cone run must
+    reproduce bit for bit)."""
+    dists, acc, psi = [psi0.distribution(0).probs], 0.0, psi0
+    for _ in range(steps):
+        psi = apply_u(field, psi)
+        dists.append((np.abs(psi.amps) ** 2).sum(axis=1))
+        acc += float((np.abs(psi.amps[-psi0.lo]) ** 2).sum())
+    return dists, acc / steps
+
+
+def state_at(lo, hi, sites, seed=0):
+    rng = np.random.default_rng(seed)
+    amps = np.zeros((hi - lo + 1, 3), dtype=complex)
+    for x in sites:
+        amps[x - lo] = rng.normal(size=3) + 1j * rng.normal(size=3)
+    return StateVector(lo, hi, amps).normalized()
+
+
+DEFECT = field_one_defect(make_fourier(), phase_scale(make_fourier(), 7 * np.pi / 12))
+
+
+@pytest.mark.parametrize("field, psi0, steps", [
+    *(pytest.param(build(make_fourier(), phase_scale(make_fourier(), th)),
+                   default_initial_state(206), 200, id=f"{build.__name__}-theta{i}")
+      for build in (field_one_defect, field_two_phase) for i, th in enumerate(THETAS)),
+    pytest.param(DEFECT, state_at(-80, 80, [30]), 40, id="off-origin"),
+    pytest.param(DEFECT, state_at(-80, 80, [-3, 4]), 40, id="two-site"),
+    pytest.param(DEFECT, state_at(-100, 100, [-45, 2, 3]), 40, id="wide-support"),
+    pytest.param(DEFECT, state_at(-200, 200, [150]), 40, id="unreachable-origin"),
+    pytest.param(DEFECT, default_initial_state(8), 1, id="one-step"),
+    pytest.param(DEFECT, state_at(-36, 99, [10, 11]), 40, id="asymmetric-window"),
+])
+def test_light_cone_run_matches_whole_window(field, psi0, steps):
+    dists, average = whole_window_run(field, psi0, steps)
+    got = evolve(field, psi0, steps)
+    assert len(got) == len(dists)
+    for t, (d, ref) in enumerate(zip(got, dists)):
+        assert (d.lo, d.hi, d.time) == (psi0.lo, psi0.hi, t)
+        assert np.array_equal(d.probs, ref), t
+    assert time_averaged_origin(field, psi0, steps) == average
+
+
+def test_light_cone_run_zero_steps_and_unreachable_origin():
+    psi0 = state_at(-200, 200, [150])
+    assert time_averaged_origin(DEFECT, psi0, 40) == 0.0
+    (d,) = evolve(DEFECT, psi0, 0)
+    assert np.array_equal(d.probs, psi0.distribution(0).probs)

@@ -26,7 +26,7 @@ from qw3.spectral import (
 )
 from qw3.transfer import a_zero, lambda0_angle
 
-from conftest import THETAS, abcd, random_coin, transfer_matrix
+from conftest import THETAS, abcd, bench_wide_field, random_coin, transfer_matrix
 
 OMEGA = np.exp(2j * np.pi / 3)
 FOURIER_DELTA = -1j  # determinant of the 3-point DFT coin
@@ -386,6 +386,9 @@ def _arc_edge_field():
     # 8 roots, all in the dense spectrum; in the mirror the grid minimum of
     # 1.929675 falls on the arc-edge sample next to an off-arc one
     pytest.param(_arc_edge_field(), id="arc-edge-miss"),
+    # wide windows whose mirror certified a different count while each
+    # eigenvector was pushed forward through the whole window only
+    *(pytest.param(bench_wide_field(3, i), id=f"wide-seed3-{i}") for i in (2, 4, 9, 15)),
 ])
 def test_parity_mirror_has_the_same_spectrum(field):
     image = mirrored(field)
@@ -470,6 +473,19 @@ def test_preset_eigenphases_pinned():
         assert len(got) == len(expected), (model, i, got)
         for g, e in zip(got, expected):
             assert abs(g - e) <= 1e-12, (model, i, g, e)
+
+
+def test_wide_window_root_certified_by_the_joined_chain():
+    # seed-101 benchmark field 2 (17 sites, Fourier tails): pushed forward
+    # through the whole window alone, the eigenvector at 0.7429355 has a
+    # residual of 1.6e-7; joined with the backward push, about 3e-13
+    field = bench_wide_field(101, 2)
+    scan = find_roots(field)
+    near = [r for r in scan.records if abs(r.lam - 0.7429355) < 1e-6]
+    assert len(near) == 1
+    assert near[0].op_residual <= 1e-11
+    assert operator_residual(field, near[0].lam, build_eigenvector(field, near[0].lam)) <= 1e-11
+    assert [d for d in scan.diagnostics if d["kind"] == "residual-violation"] == []
 
 
 def test_wide_field_matches_dense_diagonalization():
