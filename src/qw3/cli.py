@@ -122,19 +122,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    if args.grid < 1:
+        raise ConfigError(f"--grid must be at least 1, got {args.grid}")
     field = _resolve_field(args)
     lams = np.arange(args.grid) * (TAU / args.grid)
-    angles = lambda0_set(field)
-    values, in_lambda, near = chi_batch(field, lams, angles)
+    values, in_lambda, near = chi_batch(field, lams)
     lines = ["lambda,abs_chi,in_lambda,near_lambda0"]
-    for lam, value, inside, guarded in zip(lams, values, in_lambda, near):
+    for lam, value, inside, at_lambda0 in zip(lams, values, in_lambda, near):
         abs_chi = "" if np.isnan(value) else _fmt(abs(value))
-        lines.append(f"{_fmt(lam)},{abs_chi},{int(inside)},{int(guarded)}")
+        lines.append(f"{_fmt(lam)},{abs_chi},{int(inside)},{int(at_lambda0)}")
     out = Path(args.out)
     _write_atomic(out, "\n".join(lines) + "\n")
     _write_atomic(
         out.with_name(out.name + ".lambda0.json"),
-        json.dumps({"lambda0": angles}, sort_keys=True) + "\n",
+        json.dumps({"lambda0": lambda0_set(field)}, sort_keys=True) + "\n",
     )
     _write_manifest(out, "scan", {"grid": args.grid}, field, started)
     return EXIT_OK

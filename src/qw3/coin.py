@@ -160,7 +160,8 @@ def _parse_coin(node: object, where: str) -> CoinMatrix:
             )
         coin = PRESETS[name]()
         phase = node.get("phase", 0.0)
-        if not isinstance(phase, (int, float)):
+        # bool is an int subclass, but a JSON true/false is not a phase
+        if isinstance(phase, bool) or not isinstance(phase, (int, float)):
             raise ConfigError(f"{where}: phase must be a number")
         if phase:
             coin = phase_scale(coin, float(phase))
@@ -225,7 +226,8 @@ def parse_field_config(source: str | dict) -> CoinField:
     for key in ("c_minus", "c_plus", "x_minus", "x_plus", "defects"):
         if key not in doc:
             raise ConfigError(f"config missing required key {key!r}")
-    if not isinstance(doc["x_minus"], int) or not isinstance(doc["x_plus"], int):
+    if any(isinstance(doc[k], bool) or not isinstance(doc[k], int)
+           for k in ("x_minus", "x_plus")):
         raise ConfigError("x_minus and x_plus must be integers")
     if not isinstance(doc["defects"], list):
         raise ConfigError("defects must be a list of coins")

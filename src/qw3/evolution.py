@@ -1,11 +1,13 @@
 """Direct simulation of the walk operator on a finite lattice window.
 
 One step applies the site coin and then shifts: component 1 moves one site
-left, component 3 one site right, component 2 stays. A hard zero boundary with
-a light-cone-sized margin reproduces the infinite lattice exactly until the
-cone touches the edge; amplitude reaching the outermost sites flags the state
-as leaked and invalidates the run. A run steps only the forward light cone of
-the initial support, cut to the sites that can still reach what is read.
+left, component 3 one site right, component 2 stays. A hard zero boundary
+reproduces the infinite lattice exactly while the light cone stays clear of
+the edge, so a run refuses up front a window without a cone-sized margin
+(SimulationError). A run steps only the forward light cone of the initial
+support, cut to the sites that can still reach what is read. apply_u, a
+single step of a given state, flags it as leaked when amplitude sits on the
+outermost sites.
 """
 
 from __future__ import annotations

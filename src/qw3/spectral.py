@@ -21,14 +21,7 @@ import numpy as np
 from .coin import CoinField, CoinMatrix
 from .evolution import StateVector, apply_u
 from .linalg import TAU, Eig2, angle_dist, cross2, eig2_batch, phase_fix, wrap_phase
-from .transfer import (
-    ReducedState,
-    a_zero,
-    iota_inverse,
-    lambda0_angle,
-    transfer_batch,
-    zero_case_vectors,
-)
+from .transfer import iota_inverse, lambda0_angle, transfer_batch, zero_case_vectors
 
 log = logging.getLogger(__name__)
 
@@ -39,10 +32,6 @@ TR_TOL = 1e-9
 # A converged secant run is a root candidate when it ends this close to the
 # real axis (in phase units): a unitary walk has no eigenvalue off the circle.
 IM_TOL = 1e-9
-
-# Scan guard radius around the degenerate phases (transfer matrix blows up
-# as its leading coefficient vanishes, poisoning refinement).
-LAMBDA0_GUARD = 1e-6
 
 # Certification threshold for ||U psi - e^{i lam} psi|| of accepted records.
 RESIDUAL_TOL = 1e-8
@@ -87,9 +76,7 @@ def lambda0_set(field: CoinField) -> list[float]:
     return sorted(angles)
 
 
-def chi_batch(
-    field: CoinField, lams: np.ndarray, lambda0_angles: list[float] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def chi_batch(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """chi at an array of phases, returned as (values, in_lambda, near_lambda0).
 
     chi(lam) = (T_{x_plus} ... T_{x_minus} v_greater(-inf)) x v_less(+inf),
@@ -98,19 +85,15 @@ def chi_batch(
     eigenvector, crossed against the right tail's decaying one. Its zeros on
     the allowed arcs are the eigenphases. The tail eigenvectors are not
     normalised, and each eigenvalue is picked by modulus, so chi is analytic
-    in a complex lam near the arcs; near_lambda0 is decided by Re lam. A
-    value is NaN where chi is undefined: off the arcs, or where a transfer
-    matrix in the chain cannot be built (which marks the phase near_lambda0).
+    in a complex lam near the arcs. near_lambda0 is transfer_batch's mask: a
+    tail's transfer matrix, or on the arcs a window site's, cannot be built
+    at the phase. A value is NaN where chi is undefined: off the arcs, or
+    where near_lambda0 holds.
     """
-    if lambda0_angles is None:
-        lambda0_angles = lambda0_set(field)
-    near = np.zeros(lams.shape, dtype=bool)
-    for g in lambda0_angles:
-        near |= angle_dist(lams.real, g) < LAMBDA0_GUARD
     el = np.exp(1j * lams)
     left, in_left, zero_left = asymptotic_spectrum(field.c_minus, el)
     right, in_right, zero_right = asymptotic_spectrum(field.c_plus, el)
-    near |= zero_left | zero_right
+    near = zero_left | zero_right
     in_lambda = in_left & in_right
     idx = np.flatnonzero(in_lambda)
     e = el[idx]
@@ -193,8 +176,7 @@ def _lift(
     grid[m_left : last + 1] = values
     grid[last + 1 :] = rate_right ** np.arange(1, m_right + 1)[:, None] * grid[last]
     grid[:m_left] = rate_left ** -np.arange(m_left, 0, -1)[:, None] * grid[m_left]
-    reduced = ReducedState(start - m_left, start - m_left + len(grid) - 1, grid)
-    psi = iota_inverse(reduced, field, lam).normalized()
+    psi = iota_inverse(start - m_left, grid, field, lam).normalized()
     # anchor the global phase on a non-negligible entry, not a decayed tail
     amps = phase_fix(psi.amps.reshape(-1), tol=1e-6).reshape(-1, 3)
     return StateVector(psi.lo, psi.hi, amps)
@@ -295,12 +277,14 @@ def find_roots(
 ) -> RootScan:
     """Locate all eigenphases on the allowed arcs as the real zeros of chi.
 
-    Samples chi on a uniform grid over [0, 2pi) restricted to the allowed
-    arcs (excluding a guard around the degenerate phases) and seeds a complex
-    secant run at each local minimum of |chi|, an unusable neighbour counting
-    as infinite. A run stops once its step is at most refine_tol; it is a root
-    iff it then lies within IM_TOL of the real axis. Runs that meet an
-    undefined chi end as non-roots, and roots closer than 1e-9 are merged.
+    Samples chi on a uniform grid over [0, 2pi) and seeds a complex secant
+    run at each local minimum of |chi|, an undefined neighbour counting as
+    infinite. chi is undefined off the arcs and where transfer_batch's mask
+    says a transfer matrix cannot be built; no wider band is cut around the
+    degenerate phases. A run stops once its step is at most refine_tol; it
+    is a root iff it then lies within IM_TOL of the real axis. Runs that
+    meet an undefined chi end as non-roots, and roots closer than 1e-9 are
+    merged.
     Each root is certified by reconstructing its eigenvector and checking the
     one-step residual against the direct simulator.
     """
@@ -308,15 +292,13 @@ def find_roots(
         raise ValueError("grid_n must be at least 1000")
     if refine_tol <= 0:
         raise ValueError("refine_tol must be positive")
-    guards = lambda0_set(field)
     lams = np.arange(grid_n) * (TAU / grid_n)
-    values, _, near = chi_batch(field, lams, guards)
-    y = np.where(~np.isnan(values) & ~near, np.abs(values), np.inf)
+    values = chi_batch(field, lams)[0]
+    y = np.where(np.isnan(values), np.inf, np.abs(values))
     minima = np.flatnonzero((y < np.inf) & (y <= np.roll(y, 1)) & (y <= np.roll(y, -1)))
 
     def chi_at(z: np.ndarray) -> np.ndarray:
-        values, _, near = chi_batch(field, z, guards)
-        return np.where(near, np.nan, values)
+        return chi_batch(field, z)[0]
 
     x0 = lams[minima].astype(complex)
     xs, converged, stalled = _secant(chi_at, x0, x0 + TAU / grid_n / 4, refine_tol)
@@ -422,7 +404,8 @@ def _segment_solutions(
     v_right, rate_right = _tail(field.c_plus, lam, right=True)
     segments = []
     start, anchor, rate = xm, v_left, rate_left
-    for b in (x for x in range(xm, xp) if a_zero(field.lookup(x), lam)):
+    el = np.exp(1j * lam)
+    for b in (x for x in range(xm, xp) if transfer_batch(field.lookup(x), el)[1]):
         end_dir, next_anchor = zero_case_vectors(field.lookup(b))
         segments.append((start, anchor, b, end_dir, rate, 0j))
         start, anchor, rate = b + 1, next_anchor, 0j
@@ -432,7 +415,7 @@ def _segment_solutions(
     for start, anchor, end, end_dir, rate_l, rate_r in segments:
         # a segment ends before the next break, so its chain is always built
         if anchor.any() and end_dir.any():
-            values, _ = _propagate(field, np.exp(1j * lam), anchor, start, end)
+            values, _ = _propagate(field, el, anchor, start, end)
             if _lands(values[-1], end_dir):
                 solutions.append((start, values, rate_l, rate_r))
     return solutions
@@ -481,7 +464,7 @@ def _lambda0_solution(
     # length zero there: the direction the region's coin hands over to a site
     # must land on the one it requires at that site.
     for coin, x in ((field.c_plus, field.x_plus + 1), (field.c_minus, field.x_minus - 1)):
-        if a_zero(coin, lam):
+        if transfer_batch(coin, np.exp(1j * lam))[1]:
             required, handed = zero_case_vectors(coin)
             if _lands(handed, required):
                 return x, handed[None, :], 0j, 0j

@@ -11,7 +11,6 @@ the recursion degenerates into a pair of rank-one constraints.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,20 +21,13 @@ from .linalg import phase_fix, wrap_phase
 log = logging.getLogger(__name__)
 
 # |a11 e^{i lam} - e^{i Delta} conj(a33)| below this (relative) threshold marks
-# the transfer matrix as unbuildable at lam. The exact vanishing phases form a
-# finite set computed by lambda0_angle; the tolerance only guards grid samples
-# landing next to them.
+# the transfer matrix as unbuildable at lam; transfer_batch's mask is the only
+# place this is decided. The exact vanishing phases form a finite set computed
+# by lambda0_angle.
 ZERO_TOL = 1e-9
 
 # |a11| and |a33| must agree to this tolerance for a vanishing phase to exist.
 MODULUS_TOL = 1e-10
-
-
-def _divisor(coin: CoinMatrix, el):
-    """a11 e^{i lam} - e^{i Delta} conj(a33), and where it vanishes to ZERO_TOL."""
-    m = coin.mat
-    num = m[0, 0] * el - coin.det_unit * np.conj(m[2, 2])
-    return num, np.abs(num) <= ZERO_TOL * max(abs(m[0, 0]), abs(m[2, 2]))
 
 
 def transfer_batch(coin: CoinMatrix, el):
@@ -52,7 +44,8 @@ def transfer_batch(coin: CoinMatrix, el):
     """
     m = coin.mat
     ed = coin.det_unit
-    num, zero = _divisor(coin, el)
+    num = m[0, 0] * el - ed * np.conj(m[2, 2])
+    zero = np.abs(num) <= ZERO_TOL * max(abs(m[0, 0]), abs(m[2, 2]))
     num = np.where(zero, 1.0, num)
     entries = (
         el * (el - m[1, 1]) / num,
@@ -61,11 +54,6 @@ def transfer_batch(coin: CoinMatrix, el):
         -ed * (1.0 / el - np.conj(m[1, 1])) / num,
     )
     return entries, zero
-
-
-def a_zero(coin: CoinMatrix, lam: float) -> bool:
-    """True when the transfer matrix cannot be built at lam (leading coefficient ~ 0)."""
-    return bool(_divisor(coin, np.exp(1j * lam))[1])
 
 
 def lambda0_angle(coin: CoinMatrix) -> float | None:
@@ -109,39 +97,19 @@ def zero_case_vectors(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray]:
     return _norm(left), _norm(right)
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    """Two-component reduced wavefunction on a finite window [lo, hi]."""
-
-    lo: int
-    hi: int
-    values: np.ndarray  # shape (hi - lo + 1, 2), complex
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.hi - self.lo + 1, 2):
-            raise ValueError(f"values shape {v.shape} does not match window "
-                             f"[{self.lo}, {self.hi}]")
-        object.__setattr__(self, "values", v)
-
-    def value(self, x: int) -> np.ndarray:
-        if self.lo <= x <= self.hi:
-            return self.values[x - self.lo]
-        return np.zeros(2, dtype=complex)
-
-
-def iota_inverse(reduced: ReducedState, field: CoinField, lam: float) -> StateVector:
+def iota_inverse(lo: int, values: np.ndarray, field: CoinField, lam: float) -> StateVector:
     """Lift a reduced state back to three components at eigenphase lam.
 
+    values has shape (n, 2) and holds the reduced state at sites lo..lo+n-1.
     psi_1(x) = psi~_1(x+1), psi_3(x) = psi~_2(x) and the middle component is
     reconstructed from the coin at x:
         psi_2(x) = (a21 psi_1(x) + a23 psi_3(x)) / (e^{i lam} - a22).
-    The output window is [lo - 1, hi] (one site wider on the left).
+    The output window is [lo - 1, lo + n - 1] (one site wider on the left).
     """
-    lo, hi = reduced.lo - 1, reduced.hi
+    lo, hi = lo - 1, lo + len(values) - 1
     amps = np.zeros((hi - lo + 1, 3), dtype=complex)
-    amps[:-1, 0] = reduced.values[:, 0]
-    amps[1:, 2] = reduced.values[:, 1]
+    amps[:-1, 0] = values[:, 0]
+    amps[1:, 2] = values[:, 1]
     a21, a22, a23 = coin_stack(field, lo, hi)[:, 1].T
     amps[:, 1] = (a21 * amps[:, 0] + a23 * amps[:, 2]) / (np.exp(1j * lam) - a22)
     return StateVector(lo, hi, amps)

@@ -3,7 +3,7 @@ import pytest
 
 from qw3.coin import CoinField, CoinMatrix, ConfigError, make_fourier, make_grover, phase_scale
 from qw3.evolution import StateVector
-from qw3.transfer import ReducedState, transfer_batch
+from qw3.transfer import transfer_batch
 
 THETAS = (np.pi / 12, 3 * np.pi / 12, 7 * np.pi / 12, 11 * np.pi / 12)
 
@@ -46,16 +46,17 @@ def transfer_matrix(coin: CoinMatrix, lam: float) -> np.ndarray | None:
     return None if zero else np.array([[t00, t01], [t10, t11]])
 
 
-def iota(state: StateVector) -> ReducedState:
+def iota(state: StateVector) -> tuple[int, np.ndarray]:
     """Reduce a three-component state: (iota psi)(x) = [psi_1(x-1), psi_3(x)].
 
-    The inverse of qw3.transfer.iota_inverse on the window interior.
+    Returns the first site and the values from there on, shape (n, 2): the
+    inverse of qw3.transfer.iota_inverse on the window interior.
     """
     lo, hi = state.lo, state.hi + 1
     values = np.zeros((hi - lo + 1, 2), dtype=complex)
     values[1:, 0] = state.amps[:, 0]
     values[: state.hi - state.lo + 1, 1] = state.amps[:, 2]
-    return ReducedState(lo, hi, values)
+    return lo, values
 
 
 def bench_wide_field(seed: int, index: int) -> CoinField:

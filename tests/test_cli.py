@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from qw3.cli import main
 from qw3.coin import field_one_defect, make_fourier, phase_scale
@@ -218,6 +219,18 @@ def test_demo_fig1(tmp_path):
     header, rows = read_csv(out)
     assert header == ["lambda", "abs_chi", "in_lambda", "near_lambda0"]
     assert len(rows) == 1000
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["scan", "--model", "one-defect", "--grid", "0"], id="scan-grid-0"),
+    pytest.param(["scan", "--model", "one-defect", "--grid", "-5"], id="scan-grid-negative"),
+    pytest.param(["demo", "fig1", "--grid", "-3"], id="demo-fig1-grid-negative"),
+])
+def test_scan_rejects_empty_grid(tmp_path, capsys, argv):
+    out = tmp_path / "scan.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "configuration error: --grid must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scan_threaded_matches_serial(tmp_path, monkeypatch):

@@ -187,6 +187,9 @@ def general_form(**overrides):
         {"model": "homogeneous", "coin": {"preset": "fourier", "phase": "pi"}}),
         "coin: phase must be a number", id="phase-not-numeric"),
     pytest.param(lambda: parse_field_config(
+        {"model": "homogeneous", "coin": {"preset": "fourier", "phase": True}}),
+        "coin: phase must be a number", id="phase-bool"),
+    pytest.param(lambda: parse_field_config(
         {"model": "homogeneous", "coin": {"rows": [[1, 0, 0]] * 3}}),
         "coin: rows must be a 3x3 nesting of [re, im] pairs", id="rows-not-pairs"),
     pytest.param(lambda: parse_field_config(
@@ -202,6 +205,11 @@ def general_form(**overrides):
                  "x_minus and x_plus must be integers", id="x-minus-not-integer"),
     pytest.param(lambda: parse_field_config(general_form(x_plus="1")),
                  "x_minus and x_plus must be integers", id="x-plus-not-integer"),
+    pytest.param(lambda: parse_field_config(json.dumps(general_form(x_minus=False,
+                                                                   x_plus=True))),
+                 "x_minus and x_plus must be integers", id="x-bounds-bool"),
+    pytest.param(lambda: parse_field_config(general_form(x_plus=True)),
+                 "x_minus and x_plus must be integers", id="x-plus-bool"),
     pytest.param(lambda: parse_field_config(general_form(defects={})),
                  "defects must be a list of coins", id="defects-not-list"),
     pytest.param(lambda: CoinMatrix(np.eye(2)), "coin must be 3x3, got shape (2, 2)",

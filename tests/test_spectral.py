@@ -14,7 +14,6 @@ from qw3.coin import (
 from qw3.evolution import apply_u
 from qw3.linalg import TAU
 from qw3.spectral import (
-    LAMBDA0_GUARD,
     TR_TOL,
     asymptotic_spectrum,
     build_eigenvector,
@@ -24,7 +23,7 @@ from qw3.spectral import (
     lambda0_set,
     operator_residual,
 )
-from qw3.transfer import a_zero, lambda0_angle
+from qw3.transfer import lambda0_angle, transfer_batch
 
 from conftest import THETAS, abcd, bench_wide_field, random_coin, transfer_matrix
 
@@ -56,7 +55,7 @@ def preset_field(model, theta_index):
 def sample_valid(rng, coin):
     while True:
         lam = rng.uniform(0, TAU)
-        if not a_zero(coin, lam):
+        if not transfer_batch(coin, np.exp(1j * lam))[1]:
             return lam
 
 
@@ -141,10 +140,11 @@ def test_chi_flags_outside_arcs():
 
 
 def test_chi_near_guard_flag():
+    # near_lambda0 is the degenerate-phase mask itself, with no band around it
     field = field_homogeneous(make_fourier())
     lam0 = lambda0_set(field)[0]
-    _, _, near = chi_batch(field, np.array([lam0 + 5e-7, lam0 + 5e-3]))
-    assert near[0] and not near[1]
+    _, _, near = chi_batch(field, np.array([lam0, lam0 + 5e-7, lam0 + 5e-3]))
+    assert near[0] and not near[1] and not near[2]
 
 
 def test_find_roots_one_defect_counts_and_certificates():
@@ -152,7 +152,6 @@ def test_find_roots_one_defect_counts_and_certificates():
     scan = find_roots(field, grid_n=4000, refine_tol=1e-12)
     assert len(scan.records) == 3
     assert scan.diagnostics == []
-    guards = lambda0_set(field)
     for r in scan.records:
         assert r.source == "chi-root"
         assert r.chi_residual <= 1e-8
@@ -160,7 +159,7 @@ def test_find_roots_one_defect_counts_and_certificates():
         assert abs(r.zeta_right) <= 1.0 - 1e-6
         assert abs(r.zeta_left) >= 1.0 + 1e-6
         # local-minimum certificate
-        bumped, _, _ = chi_batch(field, r.lam + np.array([-1e-11, 1e-11]), guards)
+        bumped, _, _ = chi_batch(field, r.lam + np.array([-1e-11, 1e-11]))
         assert (np.abs(bumped) > r.chi_residual).all()
         # records are sorted
     lams = [r.lam for r in scan.records]
@@ -503,13 +502,14 @@ def test_wide_field_matches_dense_diagonalization():
     assert max(abs(a - b) for a, b in zip(mine, brute)) < 1e-9
 
 
-def reference_chi(field, lam, angles):
+def reference_chi(field, lam):
     """|chi|, in_lambda and near_lambda0 at one phase, built independently of
     the batched kernel: transfer matrices from the rational coefficients (the
     criterion-8 construction), np.linalg.eigvals for the tail eigenvalues,
     unnormalised tail vectors from the first row of T - zeta unless the
     second is more than twice as well conditioned, an explicit product over
-    the window sites. angles are the coins' exceptional phases; |chi| is None where chi
+    the window sites. near_lambda0 holds where a tail's, or on the arcs a
+    window site's, transfer matrix cannot be built; |chi| is None where chi
     is undefined."""
     el = np.exp(1j * lam)
 
@@ -519,8 +519,6 @@ def reference_chi(field, lam, angles):
             return None  # an exceptional phase of this coin
         return np.array([[el, -B], [C, -np.conj(el) * (B * C - A * D)]]) / A
 
-    near = any(min(abs(lam - a) % TAU, TAU - abs(lam - a) % TAU) < LAMBDA0_GUARD
-               for a in angles)
     tails = []
     for coin in (field.c_minus, field.c_plus):
         t = transfer(coin)
@@ -536,13 +534,13 @@ def reference_chi(field, lam, angles):
         tails.append((inside, *rows))
     (in_minus, _, v), (in_plus, w, _) = tails
     if not (in_minus and in_plus):
-        return None, False, near
+        return None, False, False
     for x in range(field.x_minus, field.x_plus + 1):
         t = transfer(field.lookup(x))
         if t is None:
             return None, True, True
         v = t @ v
-    return abs(v[0] * w[1] - v[1] * w[0]), True, near
+    return abs(v[0] * w[1] - v[1] * w[0]), True, False
 
 
 def test_batched_chi_matches_scalar_reference():
@@ -551,24 +549,31 @@ def test_batched_chi_matches_scalar_reference():
     fields.append(CoinField(random_coin(rng), random_coin(rng), -6, 6,
                             tuple(random_coin(rng) for _ in range(12))))
     for field in fields:
-        angles = [lambda0_angle(c) for c in field.distinct_coins()]
-        angles = [a for a in angles if a is not None]
         defined = 0
         lams = np.arange(1000) * (TAU / 1000)
         for lam, value, inside, guarded in zip(lams, *chi_batch(field, lams)):
-            ref, in_lambda, near = reference_chi(field, lam, angles)
+            ref, in_lambda, near = reference_chi(field, lam)
             assert (inside, guarded) == (in_lambda, near)
             assert np.isnan(value) == (ref is None)
             if ref is not None:
                 defined += 1
                 assert abs(abs(value) - ref) <= 1e-9 * ref
         assert defined > 100
-    # without guards, the degenerate-phase mask alone flags a window coin's
-    # (one-defect) or a tail coin's (two-phase) exceptional phase
+    # the degenerate-phase mask flags a window coin's (one-defect) or a tail
+    # coin's (two-phase) exceptional phase
     lam0 = lambda0_angle(phase_scale(make_fourier(), THETAS[0]))
     for model, in_lambda in (("one-defect", True), ("two-phase", False)):
-        value, inside, near = chi_batch(preset_field(model, 0), np.array([lam0]), [])
+        value, inside, near = chi_batch(preset_field(model, 0), np.array([lam0]))
         assert (np.isnan(value[0]), inside[0], near[0]) == (True, in_lambda, True)
+    # but not a window coin's exceptional phase off the arcs, where no window
+    # transfer matrix is built: grid row 3500 of 4000 of the one-defect
+    # theta=11pi/12 scan, within 1e-6 of that coin's 7pi/4
+    lam = 3500 * (TAU / 4000)
+    assert abs(lam - lambda0_angle(phase_scale(make_fourier(), THETAS[3]))) < 1e-6
+    field = preset_field("one-defect", 3)
+    value, inside, near = chi_batch(field, np.array([lam]))
+    assert reference_chi(field, lam) == (None, False, False)
+    assert (np.isnan(value[0]), inside[0], near[0]) == (True, False, False)
 
 
 def test_phases_just_below_zero_wrap_to_zero():

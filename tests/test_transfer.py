@@ -3,13 +3,7 @@ import numpy as np
 from qw3.coin import CoinMatrix, make_fourier, make_grover, phase_scale
 from qw3.linalg import TAU, cross2
 from qw3.spectral import _lands
-from qw3.transfer import (
-    ReducedState,
-    a_zero,
-    iota_inverse,
-    lambda0_angle,
-    zero_case_vectors,
-)
+from qw3.transfer import iota_inverse, lambda0_angle, transfer_batch, zero_case_vectors
 
 from conftest import abcd, iota, random_coin, transfer_matrix
 
@@ -95,7 +89,7 @@ def test_a_zero_forces_d_zero(rng):
             c = dressed_coin(base, rng)
             lam = lambda0_angle(c)
             assert lam is not None
-            assert a_zero(c, lam)
+            assert transfer_batch(c, np.exp(1j * lam))[1]
             A, _, _, D = abcd(c, lam)
             assert abs(A) <= 1e-10
             assert abs(D) <= 1e-10
@@ -106,8 +100,8 @@ def test_a_zero_only_near_the_degenerate_phase():
     lam0 = lambda0_angle(c)
     assert lam0 is not None
     assert abs(lam0 - 5 * np.pi / 6) < 1e-12
-    assert a_zero(c, lam0)
-    assert not a_zero(c, lam0 + 1e-3)
+    assert transfer_batch(c, np.exp(1j * lam0))[1]
+    assert not transfer_batch(c, np.exp(1j * (lam0 + 1e-3)))[1]
     assert transfer_matrix(c, lam0) is None
 
 
@@ -207,8 +201,8 @@ def test_bump_landing_rule_matches_ratio_identity(rng):
 def test_iota_inverse_zero_maps_to_zero(rng):
     from qw3.coin import field_homogeneous
 
-    red = ReducedState(-3, 3, np.zeros((7, 2), dtype=complex))
-    psi = iota_inverse(red, field_homogeneous(random_coin(rng)), 1.0)
+    psi = iota_inverse(-3, np.zeros((7, 2), dtype=complex),
+                       field_homogeneous(random_coin(rng)), 1.0)
     assert psi.norm() == 0.0
 
 
@@ -216,12 +210,11 @@ def test_iota_roundtrip_on_interior(rng):
     from qw3.coin import field_homogeneous
 
     values = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
-    red = ReducedState(-4, 4, values)
     field = field_homogeneous(random_coin(rng))
-    psi = iota_inverse(red, field, 0.7)
-    back = iota(psi)
+    psi = iota_inverse(-4, values, field, 0.7)
+    back_lo, back = iota(psi)
     for x in range(-4, 5):
-        assert np.abs(back.value(x) - red.value(x)).max() < 1e-14
+        assert np.abs(back[x - back_lo] - values[x + 4]).max() < 1e-14
 
 
 def test_iota_inverse_middle_component_is_stationary(rng):
@@ -233,7 +226,7 @@ def test_iota_inverse_middle_component_is_stationary(rng):
     field = field_homogeneous(c)
     lam = rng.uniform(0, TAU)
     values = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
-    psi = iota_inverse(ReducedState(-3, 3, values), field, lam)
+    psi = iota_inverse(-3, values, field, lam)
     for x in range(psi.lo, psi.hi + 1):
         row2 = c.mat[1] @ psi.amp(x)
         assert abs(np.exp(1j * lam) * psi.amp(x)[1] - row2) < 1e-12
@@ -264,7 +257,7 @@ def test_iota_inverse_of_transfer_chain_is_eigenvector():
     for j in range(1, m + 1):
         values[field.x_plus + j - lo] = (z_less**j) * values[field.x_plus - lo]
         values[field.x_minus - j - lo] = (z_greater**-j) * values[field.x_minus - lo]
-    psi = iota_inverse(ReducedState(lo, hi, values), field, lam).normalized()
+    psi = iota_inverse(lo, values, field, lam).normalized()
     assert operator_residual(field, lam, psi) <= 1e-8
 
 
