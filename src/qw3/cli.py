@@ -104,7 +104,15 @@ def _record_json(r: EigenvalueRecord) -> dict:
     }
 
 
+def _check_grid(grid: int, least: int = 1) -> None:
+    if grid < least:
+        raise ConfigError(f"--grid must be at least {least}, got {grid}")
+
+
 def _all_records(field: CoinField, grid: int, refine_tol: float):
+    _check_grid(grid, least=1000)  # not find_roots' ValueError: that exits 3
+    if not refine_tol > 0:
+        raise ConfigError(f"--refine-tol must be positive, got {refine_tol}")
     scan = find_roots(field, grid_n=grid, refine_tol=refine_tol)
     records = sorted(scan.records + lambda0_adjudicate(field), key=lambda r: r.lam)
     return records, scan.diagnostics
@@ -122,8 +130,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    if args.grid < 1:
-        raise ConfigError(f"--grid must be at least 1, got {args.grid}")
+    _check_grid(args.grid)
     field = _resolve_field(args)
     lams = np.arange(args.grid) * (TAU / args.grid)
     values, in_lambda, near = chi_batch(field, lams)
@@ -171,26 +178,13 @@ def cmd_eigvec(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     psi = matches[0].eigvec
     lines = ["x,re1,im1,re2,im2,re3,im3,site_norm"]
-    norms = psi.site_norms()
-    for i, x in enumerate(range(psi.lo, psi.hi + 1)):
-        a = psi.amps[i]
-        lines.append(
-            ",".join(
-                [str(x)]
-                + [_fmt(v) for v in (a[0].real, a[0].imag, a[1].real,
-                                     a[1].imag, a[2].real, a[2].imag)]
-                + [_fmt(norms[i])]
-            )
-        )
+    for x, a, norm in zip(range(psi.lo, psi.hi + 1), psi.amps, psi.site_norms()):
+        lines.append(",".join([str(x), *(_fmt(v) for c in a for v in (c.real, c.imag)),
+                               _fmt(norm)]))
     out = Path(args.out)
     _write_atomic(out, "\n".join(lines) + "\n")
-    _write_manifest(
-        out,
-        "eigvec",
-        {"grid": args.grid, "refine_tol": args.refine_tol, "lambda": args.lam},
-        field,
-        started,
-    )
+    _write_manifest(out, "eigvec", {"grid": args.grid, "refine_tol": args.refine_tol,
+                                    "lambda": args.lam}, field, started)
     return EXIT_OK
 
 
@@ -248,6 +242,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    _check_grid(args.grid)  # for every figure, though only the scans read it
     theta = THETA_PRESETS[args.theta_index]
     args.config = None
     args.coin = "fourier"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +114,20 @@ class CoinField:
                 f"[{self.x_minus}, {self.x_plus}), got {len(self.defects)}"
             )
         object.__setattr__(self, "defects", tuple(self.defects))
+
+    @cached_property
+    def coin_table(self) -> np.ndarray:
+        """The matrices of c_minus, the defects and c_plus, (n + 2, 3, 3), kept
+        on the field like transfer_table. Site x reads row clip(x - x_minus + 1, 0, n + 1)."""
+        table = np.array([c.mat for c in (self.c_minus, *self.defects, self.c_plus)])
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def transfer_table(self) -> np.ndarray:
+        """transfer_coefficients of the same coins, column by column."""
+        from .transfer import transfer_coefficients  # transfer imports this module
+        return transfer_coefficients((self.c_minus, *self.defects, self.c_plus))
 
     def lookup(self, x: int) -> CoinMatrix:
         if x >= self.x_plus:

@@ -90,9 +90,8 @@ def default_initial_state(half_width: int) -> StateVector:
 
 def coin_stack(field: CoinField, lo: int, hi: int) -> np.ndarray:
     """The coins of sites lo..hi as one (hi - lo + 1, 3, 3) array."""
-    table = np.array([c.mat for c in (field.c_minus, *field.defects, field.c_plus)])
     xs = np.arange(lo - field.x_minus + 1, hi - field.x_minus + 2)
-    return table[np.clip(xs, 0, len(field.defects) + 1)]
+    return field.coin_table[np.clip(xs, 0, len(field.defects) + 1)]
 
 
 def _step(coins: np.ndarray, amps: np.ndarray) -> np.ndarray:

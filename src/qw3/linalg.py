@@ -1,13 +1,13 @@
 """Phase arithmetic and 2x2 complex linear algebra kernels.
 
-The eigenpair kernel takes a stack of n 2x2 matrices entry by entry, as
-(n,) arrays of dtype complex128, so one call serves a whole phase grid. No
+The eigenpair kernel takes a stack of 2x2 matrices entry by entry, as
+arrays of dtype complex128, so one call serves a whole phase grid. No
 general matrix sizes: the transfer reduction only ever needs 2x2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,11 +47,11 @@ def branch_sqrt(a):
 
 @dataclass(frozen=True)
 class Eig2:
-    """Eigenpairs of a stack of n 2x2 matrices, as (n,) and (n, 2) arrays.
+    """Eigenpairs of a stack of 2x2 matrices of shape s, as s and s + (2,) arrays.
 
     zeta_less / zeta_greater are the eigenvalues of smaller / larger
     modulus (ties keep the + branch first) and v_less / v_greater their
-    unnormalised eigenvectors.
+    unnormalised eigenvectors. Indexing selects from the stack.
     """
 
     zeta_less: np.ndarray
@@ -59,6 +59,9 @@ class Eig2:
     v_less: np.ndarray
     v_greater: np.ndarray
     degenerate: np.ndarray
+
+    def __getitem__(self, i) -> "Eig2":
+        return Eig2(*(getattr(self, f.name)[i] for f in fields(self)))
 
 
 def _norm(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
@@ -82,7 +85,7 @@ def _eigenvector(m00, m01, m10, m11, zeta, floor):
 def eig2_batch(m00, m01, m10, m11) -> Eig2:
     """Eigenvalues and eigenvectors of a stack of 2x2 complex matrices.
 
-    The matrices are given entry by entry as arrays of shape (n,). The
+    The matrices are given entry by entry as arrays of one shape. The
     eigenvalues are (tr +/- branch_sqrt(tr^2 - 4 det)) / 2, ordered by
     modulus. Each eigenvector is read off one row of (m - zeta I) and left
     unnormalised, so that it is analytic in the entries wherever zeta is. A
@@ -100,10 +103,10 @@ def eig2_batch(m00, m01, m10, m11) -> Eig2:
     vm, ok_m = _eigenvector(m00, m01, m10, m11, zm, floor)
     # Where one vector is missing the other stands in for it; where both are,
     # m is (close to) a multiple of the identity: any orthonormal pair.
-    vp, vm = (np.where(ok_p[:, None], vp, np.where(ok_m[:, None], vm, [1.0, 0.0])),
-              np.where(ok_m[:, None], vm, np.where(ok_p[:, None], vp, [0.0, 1.0])))
+    vp, vm = (np.where(ok_p[..., None], vp, np.where(ok_m[..., None], vm, [1.0, 0.0])),
+              np.where(ok_m[..., None], vm, np.where(ok_p[..., None], vp, [0.0, 1.0])))
     swap = np.abs(zp) > np.abs(zm)
-    vswap = swap[:, None]
+    vswap = swap[..., None]
     return Eig2(np.where(swap, zm, zp), np.where(swap, zp, zm),
                 np.where(vswap, vm, vp), np.where(vswap, vp, vm),
                 degenerate | ~ok_p | ~ok_m)

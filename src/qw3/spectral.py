@@ -21,7 +21,7 @@ import numpy as np
 from .coin import CoinField, CoinMatrix
 from .evolution import StateVector, apply_u
 from .linalg import TAU, Eig2, angle_dist, cross2, eig2_batch, phase_fix, wrap_phase
-from .transfer import iota_inverse, lambda0_angle, transfer_batch, zero_case_vectors
+from .transfer import iota_inverse, lambda0_angle, transfer_rows, zero_case_vectors
 
 log = logging.getLogger(__name__)
 
@@ -45,23 +45,56 @@ PARALLEL_TOL = 1e-10
 _SECANT_MAX_ITER = 60
 _TAIL_CUTOFF = 1e-12
 
+# Elements (coins x phases) per transfer_rows call: the scan's thousands of
+# phases stream a site or two at a time, while a secant step, a chain or a
+# degenerate phase gets its whole window in one broadcast.
+_BLOCK = 4096
 
-def asymptotic_spectrum(
-    coin: CoinMatrix, el: np.ndarray
-) -> tuple[Eig2, np.ndarray, np.ndarray]:
-    """Spectra of a coin's transfer matrices at an array of e^{i lam}.
 
-    Returns the eigenpairs ordered by modulus (their eigenvalues' product has
-    unit modulus), in_lambda, the open condition |tr| > 2 + TR_TOL under which
-    the moduli split strictly and decaying tails exist, and the mask of the
-    degenerate phases, where no transfer matrix can be built.
+def _blocks(table: np.ndarray, el: np.ndarray):
+    """transfer_rows of table's columns in blocks of at most _BLOCK elements."""
+    step = max(1, _BLOCK // max(len(el), 1))
+    for a in range(0, table.shape[1], step):
+        yield transfer_rows(table[:, a : a + step], el)
+
+
+def _chain(field: CoinField, el: np.ndarray, v0, v1, x_from: int, x_to: int,
+           backward: bool = False):
+    """The site loop: the transfer chain over sites [x_from, x_to) applied to (v0, v1).
+
+    v0, v1 are the components of n states at x_from, or at x_to when
+    backward (T_x^-1 = adj(T_x)/det(T_x) carries x + 1 to x), el their n
+    values e^{i lam}. Yields (v0, v1, zero) site after site, zero where the
+    site's transfer matrix could not be built.
     """
-    t, zero = transfer_batch(coin, el)
-    pairs = eig2_batch(*t)
-    # |tr| > 2 with unit |det| already rules out a repeated eigenvalue; the
-    # explicit check keeps a defective pair out of the arcs regardless
-    in_lambda = (np.abs(t[0] + t[3]) > 2.0 + TR_TOL) & ~pairs.degenerate & ~zero
-    return pairs, in_lambda, zero
+    cols = field.transfer_table[:, x_from - field.x_minus + 1 : x_to - field.x_minus + 1]
+    for (t00, t01, t10, t11), zero in _blocks(cols[:, ::-1].copy() if backward else cols, el):
+        if backward:
+            det = np.where(zero, 1.0, t00 * t11 - t01 * t10)
+            t00, t01, t10, t11 = t11 / det, -t01 / det, -t10 / det, t00 / det
+        for k in range(len(zero)):
+            v0, v1 = t00[k] * v0 + t01[k] * v1, t10[k] * v0 + t11[k] * v1
+            yield v0, v1, zero[k]
+
+
+def asymptotic_spectrum(field: CoinField,
+                        el: np.ndarray) -> list[tuple[Eig2, np.ndarray, np.ndarray]]:
+    """Spectra of the tail coins' transfer matrices at an array of e^{i lam}.
+
+    Returns [c_minus's, c_plus's], each as the eigenpairs ordered by modulus
+    (their eigenvalues' product has unit modulus), in_lambda, the open
+    condition |tr| > 2 + TR_TOL under which the moduli split strictly and
+    decaying tails exist, and transfer_rows' mask.
+    """
+    out = []
+    for t, zero in _blocks(field.transfer_table[:, [0, -1]], el):
+        pairs = eig2_batch(*t)
+        # |tr| > 2 with unit |det| already rules out a repeated eigenvalue; the
+        # explicit check keeps a defective pair out of the arcs regardless
+        in_lambda = (np.abs(t[0] + t[3]) > 2.0 + TR_TOL) & ~pairs.degenerate & ~zero
+        out += [(pairs[k], in_lambda[k], zero[k]) for k in range(len(zero))]
+        del t  # the scan's next tail is built without this one's entries
+    return out
 
 
 def lambda0_set(field: CoinField) -> list[float]:
@@ -80,29 +113,25 @@ def chi_batch(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """chi at an array of phases, returned as (values, in_lambda, near_lambda0).
 
     chi(lam) = (T_{x_plus} ... T_{x_minus} v_greater(-inf)) x v_less(+inf),
-    the ordered transfer product over the window (a loop over sites, each
-    step applied to all phases at once) applied to the left tail's growing
+    the ordered transfer product over the window (the site loop of _chain,
+    each step applied to all phases at once) applied to the left tail's growing
     eigenvector, crossed against the right tail's decaying one. Its zeros on
     the allowed arcs are the eigenphases. The tail eigenvectors are not
     normalised, and each eigenvalue is picked by modulus, so chi is analytic
-    in a complex lam near the arcs. near_lambda0 is transfer_batch's mask: a
+    in a complex lam near the arcs. near_lambda0 is transfer_rows' mask: a
     tail's transfer matrix, or on the arcs a window site's, cannot be built
     at the phase. A value is NaN where chi is undefined: off the arcs, or
     where near_lambda0 holds.
     """
     el = np.exp(1j * lams)
-    left, in_left, zero_left = asymptotic_spectrum(field.c_minus, el)
-    right, in_right, zero_right = asymptotic_spectrum(field.c_plus, el)
+    (left, in_left, zero_left), (right, in_right, zero_right) = asymptotic_spectrum(field, el)
     near = zero_left | zero_right
     in_lambda = in_left & in_right
     idx = np.flatnonzero(in_lambda)
-    e = el[idx]
     v0, v1 = left.v_greater[idx, 0], left.v_greater[idx, 1]
     hit = np.zeros(idx.shape, dtype=bool)
-    for x in range(field.x_minus, field.x_plus + 1):
-        (t00, t01, t10, t11), zero = transfer_batch(field.lookup(x), e)
+    for v0, v1, zero in _chain(field, el[idx], v0, v1, field.x_minus, field.x_plus + 1):
         hit |= zero
-        v0, v1 = t00 * v0 + t01 * v1, t10 * v0 + t11 * v1
     w = right.v_less[idx]
     values = np.full(lams.shape, np.nan, dtype=complex)
     values[idx] = np.where(hit, np.nan, v0 * w[:, 1] - v1 * w[:, 0])
@@ -194,8 +223,7 @@ def _chains(field: CoinField, lams: np.ndarray):
     and every transfer matrix of the chain built.
     """
     el = np.exp(1j * lams)
-    left, in_left, _ = asymptotic_spectrum(field.c_minus, el)
-    right, in_right, _ = asymptotic_spectrum(field.c_plus, el)
+    (left, in_left, _), (right, in_right, _) = asymptotic_spectrum(field, el)
     f, hit = _propagate(field, el, left.v_greater, field.x_minus, field.x_plus)
     b, _ = _propagate(field, el, right.v_less, field.x_minus, field.x_plus, backward=True)
     nf, nb = np.linalg.norm(f, axis=-1), np.linalg.norm(b, axis=-1)
@@ -279,7 +307,7 @@ def find_roots(
 
     Samples chi on a uniform grid over [0, 2pi) and seeds a complex secant
     run at each local minimum of |chi|, an undefined neighbour counting as
-    infinite. chi is undefined off the arcs and where transfer_batch's mask
+    infinite. chi is undefined off the arcs and where transfer_rows' mask
     says a transfer matrix cannot be built; no wider band is cut around the
     degenerate phases. A run stops once its step is at most refine_tol; it
     is a root iff it then lies within IM_TOL of the real axis. Runs that
@@ -335,46 +363,31 @@ def find_roots(
 # --- adjudication of the degenerate phases ---------------------------------
 
 
-def _tail(coin: CoinMatrix, lam: float, right: bool) -> tuple[np.ndarray, complex]:
+def _tail(coin: CoinMatrix, spectrum, at_right: bool) -> tuple[np.ndarray, complex]:
     """Admissible direction of the reduced state at a window edge, and its rate.
 
-    coin is the asymptotic coin beyond that edge: c_plus seen from the right
-    (right=True, direction at x_plus), c_minus seen from the left (at
-    x_minus). The rate is 0 for a compact tail. The zero vector means only
-    the zero tail is square-summable.
+    coin is the asymptotic coin beyond that edge, c_plus at x_plus or c_minus
+    at x_minus, and spectrum its asymptotic_spectrum at one phase. The rate
+    is 0 for a compact tail; the zero vector admits only the zero tail.
     """
-    pairs, in_lambda, zero = asymptotic_spectrum(coin, np.exp(1j * np.array([lam])))
+    pairs, in_lambda, zero = spectrum
     if zero[0]:
-        return zero_case_vectors(coin)[0 if right else 1], 0j
+        return zero_case_vectors(coin)[0 if at_right else 1], 0j
     if not in_lambda[0]:
         return np.zeros(2, dtype=complex), 0j
-    if right:
-        vec, rate = pairs.v_less[0], pairs.zeta_less[0]
-    else:
-        vec, rate = pairs.v_greater[0], pairs.zeta_greater[0]
+    vec, rate = ((pairs.v_less[0], pairs.zeta_less[0]) if at_right
+                 else (pairs.v_greater[0], pairs.zeta_greater[0]))
     return vec / np.linalg.norm(vec), rate
 
 
-def _propagate(field: CoinField, el, start: np.ndarray, x_from: int, x_to: int,
+def _propagate(field: CoinField, el: np.ndarray, start: np.ndarray, x_from: int, x_to: int,
                backward: bool = False):
-    """The transfer chain over sites [x_from, x_to) applied to start.
-
-    el is e^{i lam}, a scalar or an array of n phases, and start has shape
-    (2,) or (n, 2), at x_from, or at x_to when backward: T_x^-1 =
-    adj(T_x)/det(T_x) then carries x + 1 to x. Returns the values at sites
-    x_from..x_to stacked on a new first axis, and where a transfer matrix
-    could not be built.
-    """
-    values = [start]
-    hit = np.zeros(np.shape(el), dtype=bool)
-    for x in range(x_to - 1, x_from - 1, -1) if backward else range(x_from, x_to):
-        (t00, t01, t10, t11), zero = transfer_batch(field.lookup(x), el)
+    """_chain from start, of shape (n, 2), with the values at sites x_from..x_to
+    stacked on a new first axis, and where a transfer matrix could not be built."""
+    values, hit = [start], np.zeros(el.shape, dtype=bool)
+    for v0, v1, zero in _chain(field, el, start[:, 0], start[:, 1], x_from, x_to, backward):
+        values.append(np.stack([v0, v1], axis=-1))
         hit |= zero
-        if backward:
-            det = np.where(zero, 1.0, t00 * t11 - t01 * t10)
-            t00, t01, t10, t11 = t11 / det, -t01 / det, -t10 / det, t00 / det
-        v0, v1 = values[-1][..., 0], values[-1][..., 1]
-        values.append(np.stack([t00 * v0 + t01 * v1, t10 * v0 + t11 * v1], axis=-1))
     return np.array(values[::-1] if backward else values), hit
 
 
@@ -383,42 +396,6 @@ def _lands(v: np.ndarray, direction: np.ndarray) -> bool:
     vector direction; nothing lands on the zero vector (an absent direction)."""
     n = np.linalg.norm(v)
     return bool(n > 0.0 and direction.any() and abs(cross2(v / n, direction)) <= PARALLEL_TOL)
-
-
-def _segment_solutions(
-    field: CoinField, lam: float
-) -> list[tuple[int, np.ndarray, complex, complex]]:
-    """Nonzero solutions of the rank-one constraint chain at a degenerate phase.
-
-    The window splits into segments at the sites whose transfer matrix cannot
-    be built. Each segment is anchored on a one-dimensional subspace at its
-    left end (the left tail's direction, or the one handed over by the break
-    on its left) and is viable iff the transfer chain lands it on the
-    direction required at its right end (the right tail's, for the last).
-    Every viable segment yields an independent eigenvector, returned as
-    _lift takes it: (start, values, rate_left, rate_right), where a tail rate
-    is kept only on a side where the segment reaches the window edge.
-    """
-    xm, xp = field.x_minus, field.x_plus
-    v_left, rate_left = _tail(field.c_minus, lam, right=False)
-    v_right, rate_right = _tail(field.c_plus, lam, right=True)
-    segments = []
-    start, anchor, rate = xm, v_left, rate_left
-    el = np.exp(1j * lam)
-    for b in (x for x in range(xm, xp) if transfer_batch(field.lookup(x), el)[1]):
-        end_dir, next_anchor = zero_case_vectors(field.lookup(b))
-        segments.append((start, anchor, b, end_dir, rate, 0j))
-        start, anchor, rate = b + 1, next_anchor, 0j
-    segments.append((start, anchor, xp, v_right, rate, rate_right))
-
-    solutions = []
-    for start, anchor, end, end_dir, rate_l, rate_r in segments:
-        # a segment ends before the next break, so its chain is always built
-        if anchor.any() and end_dir.any():
-            values, _ = _propagate(field, el, anchor, start, end)
-            if _lands(values[-1], end_dir):
-                solutions.append((start, values, rate_l, rate_r))
-    return solutions
 
 
 def lambda0_adjudicate(field: CoinField) -> list[EigenvalueRecord]:
@@ -443,11 +420,8 @@ def lambda0_adjudicate(field: CoinField) -> list[EigenvalueRecord]:
             log.warning("degenerate-phase candidate at lam=%.12f rejected: "
                         "residual %.3e", lam, residual)
             continue
-        records.append(
-            EigenvalueRecord(
-                lam, 0.0, rate_left, rate_right, psi, residual, "lambda0-compact"
-            )
-        )
+        records.append(EigenvalueRecord(lam, 0.0, rate_left, rate_right, psi, residual,
+                                        "lambda0-compact"))
     return records
 
 
@@ -456,23 +430,46 @@ def _lambda0_solution(
 ) -> tuple[int, np.ndarray, complex, complex] | None:
     """A nonzero square-summable reduced state at a degenerate phase, or None.
 
-    Returns it as _lift takes it: the first site, the values from there on,
-    and the left/right tail rates (0 on a side where the solution is
-    compactly supported).
+    A compact bump strictly inside an asymptotic region is the chain of
+    length zero there: the direction the region's coin hands over to a site
+    must land on the one it requires at that site. Otherwise the window
+    splits into segments at the sites whose transfer matrix cannot be built,
+    each anchored on a direction at its left end (the left tail's, or the one
+    the break on its left hands over) and viable iff its chain lands on the
+    direction required at its right end (the right tail's, for the last).
+    Each viable segment is an independent eigenvector; the leftmost is
+    returned as _lift takes it: its first site, its values, and the tail
+    rates of the window edges it reaches (0 on a compactly supported side).
     """
-    # A compact bump strictly inside an asymptotic region is the chain of
-    # length zero there: the direction the region's coin hands over to a site
-    # must land on the one it requires at that site.
-    for coin, x in ((field.c_plus, field.x_plus + 1), (field.c_minus, field.x_minus - 1)):
-        if transfer_batch(coin, np.exp(1j * lam))[1]:
+    el = np.exp(1j * np.array([lam]))
+    tails = asymptotic_spectrum(field, el)
+    for coin, x, (_, _, zero) in ((field.c_plus, field.x_plus + 1, tails[1]),
+                                  (field.c_minus, field.x_minus - 1, tails[0])):
+        if zero[0]:
             required, handed = zero_case_vectors(coin)
             if _lands(handed, required):
                 return x, handed[None, :], 0j, 0j
 
-    solutions = _segment_solutions(field, lam)
-    if not solutions:
-        return None
+    xm, xp = field.x_minus, field.x_plus
+    v_left, rate_left = _tail(field.c_minus, tails[0], at_right=False)
+    v_right, rate_right = _tail(field.c_plus, tails[1], at_right=True)
+    segments = []
+    start, anchor, rate = xm, v_left, rate_left
+    breaks = np.flatnonzero(transfer_rows(field.transfer_table[:, 1:-1], el)[1][:, 0])
+    for b in (xm + breaks).tolist():
+        end_dir, next_anchor = zero_case_vectors(field.lookup(b))
+        segments.append((start, anchor, b, end_dir, rate, 0j))
+        start, anchor, rate = b + 1, next_anchor, 0j
+    segments.append((start, anchor, xp, v_right, rate, rate_right))
+
+    solutions = []
+    for start, anchor, end, end_dir, rate_l, rate_r in segments:
+        # a segment ends before the next break, so its chain is always built
+        if anchor.any() and end_dir.any():
+            values = _propagate(field, el, anchor[None, :], start, end)[0][:, 0]
+            if _lands(values[-1], end_dir):
+                solutions.append((start, values, rate_l, rate_r))
     if len(solutions) > 1:
         log.info("degenerate phase lam=%.12f admits %d independent constraint-chain "
                  "solutions; building the leftmost", lam, len(solutions))
-    return solutions[0]
+    return solutions[0] if solutions else None

@@ -21,7 +21,7 @@ from .linalg import phase_fix, wrap_phase
 log = logging.getLogger(__name__)
 
 # |a11 e^{i lam} - e^{i Delta} conj(a33)| below this (relative) threshold marks
-# the transfer matrix as unbuildable at lam; transfer_batch's mask is the only
+# the transfer matrix as unbuildable at lam; transfer_rows' mask is the only
 # place this is decided. The exact vanishing phases form a finite set computed
 # by lambda0_angle.
 ZERO_TOL = 1e-9
@@ -30,30 +30,46 @@ ZERO_TOL = 1e-9
 MODULUS_TOL = 1e-10
 
 
-def transfer_batch(coin: CoinMatrix, el):
-    """Closed-form transfer matrices of a coin at e^{i lam}, a scalar or an array.
+def transfer_coefficients(coins) -> np.ndarray:
+    """The ten scalars transfer_rows combines with e^{i lam}, one column per coin:
+    a11, e^{i Delta} conj(a33), ZERO_TOL max(|a11|, |a33|), a22, -a13,
+    e^{i Delta} conj(a31), a31, e^{i Delta} conj(a13), -e^{i Delta}, conj(a22)."""
+    cols = [(m[0, 0], ed * np.conj(m[2, 2]), ZERO_TOL * max(abs(m[0, 0]), abs(m[2, 2])), m[1, 1],
+             -m[0, 2], ed * np.conj(m[2, 0]), m[2, 0], ed * np.conj(m[0, 2]), -ed, np.conj(m[1, 1]))
+            for m, ed in ((c.mat, c.det_unit) for c in coins)]
+    table = np.array(list(zip(*cols)), dtype=complex)
+    table.setflags(write=False)
+    return table
+
+
+def transfer_rows(table: np.ndarray, el: np.ndarray):
+    """Closed-form transfer matrices of table's coins at an array of e^{i lam}.
 
     T = [[e^{i lam}(e^{i lam} - a22), -a13 e^{i lam} - e^{i Delta} conj(a31)],
          [a31 e^{i lam} + e^{i Delta} conj(a13), -e^{i Delta}(e^{-i lam} - conj(a22))]]
     divided by a11 e^{i lam} - e^{i Delta} conj(a33). |det T| = 1 whenever the
     divisor is nonzero. Every entry is a rational function of e^{i lam}
     (e^{-i lam} is written 1/e^{i lam}), so T is analytic in a complex lam
-    away from the degenerate phases. Returns the entries (t00, t01, t10, t11)
-    and the mask of the degenerate phases, where the divisor vanishes to
-    ZERO_TOL and the entries are left finite but meaningless.
+    away from the degenerate phases. For transfer_coefficients columns and
+    el of shape (n,), returns the entries (t00, t01, t10, t11) and the mask
+    where the divisor vanishes to ZERO_TOL (entries finite but meaningless),
+    each (coins, n); an entry's bits do not depend on the batch's shape.
     """
-    m = coin.mat
-    ed = coin.det_unit
-    num = m[0, 0] * el - ed * np.conj(m[2, 2])
-    zero = np.abs(num) <= ZERO_TOL * max(abs(m[0, 0]), abs(m[2, 2]))
+    a11, da33, tol, a22, ma13, da31, a31, da13, mdet, ca22 = table[:, :, None]
+    # el as (1, n), never (n,): numpy multiplies a (1, 1) by a (1,) array in
+    # another loop, which rounds complex products differently
+    e = el[None, :]
+    num = a11 * e - da33
+    zero = np.abs(num) <= tol.real
     num = np.where(zero, 1.0, num)
-    entries = (
-        el * (el - m[1, 1]) / num,
-        (-m[0, 2] * el - ed * np.conj(m[2, 0])) / num,
-        (m[2, 0] * el + ed * np.conj(m[0, 2])) / num,
-        -ed * (1.0 / el - np.conj(m[1, 1])) / num,
-    )
-    return entries, zero
+    return (e * (e - a22) / num, (ma13 * e - da31) / num, (a31 * e + da13) / num,
+            mdet * (1.0 / e - ca22) / num), zero
+
+
+def transfer_batch(coin: CoinMatrix, el):
+    """transfer_rows of one coin at el = e^{i lam}, results of el's shape."""
+    entries, zero = transfer_rows(transfer_coefficients([coin]), np.reshape(el, -1))
+    return tuple(t.reshape(np.shape(el)) for t in entries), zero.reshape(np.shape(el))
 
 
 def lambda0_angle(coin: CoinMatrix) -> float | None:

@@ -28,7 +28,7 @@ def abcd(coin: CoinMatrix, lam: float) -> tuple[complex, complex, complex, compl
 
     A = a11 + a12 a21 / (e^{i lam} - a22) and cyclic analogues; the common
     denominator never vanishes because |a22| != 1 for a valid coin. The
-    oracle for the unitarity-simplified closed form in qw3.transfer.transfer_batch.
+    oracle for the unitarity-simplified closed form in qw3.transfer.transfer_rows.
     """
     m = coin.mat
     den = np.exp(1j * lam) - m[1, 1]

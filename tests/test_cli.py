@@ -225,11 +225,28 @@ def test_demo_fig1(tmp_path):
     pytest.param(["scan", "--model", "one-defect", "--grid", "0"], id="scan-grid-0"),
     pytest.param(["scan", "--model", "one-defect", "--grid", "-5"], id="scan-grid-negative"),
     pytest.param(["demo", "fig1", "--grid", "-3"], id="demo-fig1-grid-negative"),
+    pytest.param(["demo", "fig2", "--grid", "-3"], id="demo-fig2-grid-negative"),
 ])
 def test_scan_rejects_empty_grid(tmp_path, capsys, argv):
     out = tmp_path / "scan.csv"
     assert main(argv + ["--out", str(out)]) == 2
     assert "configuration error: --grid must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["roots", "--grid", "0"], "--grid must be at least 1000, got 0",
+                 id="roots-grid-0"),
+    pytest.param(["roots", "--refine-tol", "0"], "--refine-tol must be positive, got 0.0",
+                 id="roots-refine-tol-0"),
+    pytest.param(["eigvec", "--lambda", "1.0", "--grid", "10"],
+                 "--grid must be at least 1000, got 10", id="eigvec-grid-10"),
+])
+def test_search_flags_are_configuration_errors(tmp_path, capsys, argv, message):
+    # find_roots' own ValueError would be reported as a numerical error (exit 3)
+    out = tmp_path / "out"
+    assert main(argv + ["--model", "one-defect", "--out", str(out)]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

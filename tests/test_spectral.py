@@ -61,7 +61,8 @@ def sample_valid(rng, coin):
 
 def spectrum_at(coin, lam):
     """asymptotic_spectrum at one phase: the eigenpairs (unit vectors) and in_lambda."""
-    pairs, in_lambda, _ = asymptotic_spectrum(coin, np.exp(1j * np.array([lam])))
+    pairs, in_lambda, _ = asymptotic_spectrum(field_homogeneous(coin),
+                                              np.exp(1j * np.array([lam])))[0]
     unit = [v[0] / np.linalg.norm(v[0]) for v in (pairs.v_less, pairs.v_greater)]
     return pairs.zeta_less[0], pairs.zeta_greater[0], *unit, bool(in_lambda[0])
 
@@ -104,8 +105,9 @@ def test_eigenpair_certification_inside_arcs(rng):
 
 def test_asymptotic_spectrum_rejects_degenerate_phase():
     # no transfer matrix at the degenerate phase: flagged, and kept off the arcs
-    _, in_lambda, zero = asymptotic_spectrum(make_grover(), np.array([1.0 + 0j]))
-    assert zero[0] and not in_lambda[0]
+    for _, in_lambda, zero in asymptotic_spectrum(field_homogeneous(make_grover()),
+                                                  np.array([1.0 + 0j])):
+        assert zero[0] and not in_lambda[0]
 
 
 def test_fourier_arcs_form_finite_union():
@@ -574,6 +576,41 @@ def test_batched_chi_matches_scalar_reference():
     value, inside, near = chi_batch(field, np.array([lam]))
     assert reference_chi(field, lam) == (None, False, False)
     assert (np.isnan(value[0]), inside[0], near[0]) == (True, False, False)
+
+
+@pytest.mark.parametrize("field", [
+    pytest.param(preset_field("one-defect", 0), id="one-defect-0"),
+    pytest.param(preset_field("two-phase", 3), id="two-phase-3"),  # a one-site window
+    pytest.param(bench_wide_field(101, 23), id="wide-seed101-23"),
+])
+def test_chi_batch_bits_do_not_depend_on_the_phases_asked(field):
+    # the site loop's blocks hold one site of the full grid but the whole
+    # window for a few phases: neither may change a value's bits
+    lams = np.arange(4000) * (TAU / 4000)
+    full = chi_batch(field, lams)
+    inside = np.flatnonzero(full[1])
+    rng = np.random.default_rng(5)
+    subsets = [inside[:1], inside[-1:], np.array([0]), inside[::97], inside[10:12],
+               np.sort(rng.choice(4000, 37, replace=False)), np.arange(0, 4000, 2)]
+    for k in subsets:
+        for got, want in zip(chi_batch(field, lams[k]), full):
+            assert np.array_equal(got, want[k], equal_nan=True), k
+
+
+def test_field_tables_die_with_the_field():
+    # the transfer and coin tables are kept on the field, not in a module
+    # cache that would keep every field ever scanned alive
+    import gc
+    import weakref
+
+    field = bench_wide_field(101, 2)
+    assert find_roots(field).records
+    assert field.transfer_table is field.transfer_table
+    assert field.coin_table is field.coin_table
+    ref = weakref.ref(field)
+    del field
+    gc.collect()
+    assert ref() is None
 
 
 def test_phases_just_below_zero_wrap_to_zero():

@@ -1,11 +1,19 @@
 import numpy as np
+import pytest
 
 from qw3.coin import CoinMatrix, make_fourier, make_grover, phase_scale
 from qw3.linalg import TAU, cross2
 from qw3.spectral import _lands
-from qw3.transfer import iota_inverse, lambda0_angle, transfer_batch, zero_case_vectors
+from qw3.transfer import (
+    ZERO_TOL,
+    iota_inverse,
+    lambda0_angle,
+    transfer_batch,
+    transfer_rows,
+    zero_case_vectors,
+)
 
-from conftest import abcd, iota, random_coin, transfer_matrix
+from conftest import abcd, bench_wide_field, iota, random_coin, transfer_matrix
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -36,6 +44,38 @@ def test_abcd_determinant_identity(rng):
             -el * c.det_unit * (np.conj(el) - np.conj(m[1, 1])) / (el - m[1, 1])
         )
         assert abs(A * D - B * Cc - expected) < 1e-12
+
+
+def closed_form(coin: CoinMatrix, el: np.ndarray):
+    """The transfer entries of one coin at an array of e^{i lam}, its scalar
+    coefficients applied to el one operation at a time."""
+    m, ed = coin.mat, coin.det_unit
+    num = m[0, 0] * el - ed * np.conj(m[2, 2])
+    zero = np.abs(num) <= ZERO_TOL * max(abs(m[0, 0]), abs(m[2, 2]))
+    num = np.where(zero, 1.0, num)
+    return (el * (el - m[1, 1]) / num, (-m[0, 2] * el - ed * np.conj(m[2, 0])) / num,
+            (m[2, 0] * el + ed * np.conj(m[0, 2])) / num,
+            -ed * (1.0 / el - np.conj(m[1, 1])) / num, zero)
+
+
+@pytest.mark.parametrize("phases", [1, 2, 37, 4000])
+def test_transfer_rows_bits_do_not_depend_on_batch_shape(phases):
+    # every coin of a 32-site window plus its tails, all at once and one at a
+    # time, gives the one-coin closed form bit for bit, a single phase included
+    field = bench_wide_field(101, 23)
+    coins = (field.c_minus, *field.defects, field.c_plus)
+    assert len(field.defects) == 32 and field.transfer_table.shape == (10, 34)
+    el = np.exp(1j * (np.arange(phases) * (TAU / phases) + 0.1))
+    entries, zero = transfer_rows(field.transfer_table, el)
+    whole = (*entries, zero)
+    for k, coin in enumerate(coins):
+        entries, zero = transfer_rows(field.transfer_table[:, k : k + 1], el)
+        for a, b, want in zip(whole, (*entries, zero), closed_form(coin, el)):
+            assert a.shape == (34, phases) and b.shape == (1, phases)
+            assert np.array_equal(a[k], want) and np.array_equal(b[0], want)
+    t, zero = transfer_batch(coins[5], el[0])
+    assert np.shape(t[0]) == () and np.shape(zero) == ()
+    assert all(a == b[0] for a, b in zip((*t, zero), closed_form(coins[5], el[:1])))
 
 
 def test_transfer_unit_determinant(rng):
@@ -241,8 +281,7 @@ def test_iota_inverse_of_transfer_chain_is_eigenvector():
     field = field_one_defect(make_fourier(), phase_scale(make_fourier(), np.pi / 12))
     lam = find_roots(field, grid_n=1000).records[0].lam
     el = np.exp(1j * np.array([lam]))
-    left, _, _ = asymptotic_spectrum(field.c_minus, el)
-    right, _, _ = asymptotic_spectrum(field.c_plus, el)
+    (left, _, _), (right, _, _) = asymptotic_spectrum(field, el)
     z_greater, z_less = left.zeta_greater[0], right.zeta_less[0]
     # enough sites for both geometric tails to fall below 1e-12
     m = int(np.ceil(np.log(1e-12) / np.log(abs(z_less))))
