@@ -114,8 +114,8 @@ def _all_records(field: CoinField, grid: int, refine_tol: float):
     if not refine_tol > 0:
         raise ConfigError(f"--refine-tol must be positive, got {refine_tol}")
     scan = find_roots(field, grid_n=grid, refine_tol=refine_tol)
-    records = sorted(scan.records + lambda0_adjudicate(field), key=lambda r: r.lam)
-    return records, scan.diagnostics
+    records = scan.records + lambda0_adjudicate(field, scan.diagnostics)
+    return sorted(records, key=lambda r: r.lam), scan.diagnostics
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -191,15 +191,8 @@ def cmd_eigvec(args: argparse.Namespace) -> int:
 def _initial_state(args: argparse.Namespace, half_width: int) -> StateVector:
     psi = default_initial_state(half_width)
     if args.psi0 is not None or args.psi0_site:
-        comps = (
-            np.array([1.0, 1.0j, 1.0]) / np.sqrt(3.0)
-            if args.psi0 is None
-            else np.array(
-                [complex(args.psi0[0], args.psi0[1]),
-                 complex(args.psi0[2], args.psi0[3]),
-                 complex(args.psi0[4], args.psi0[5])]
-            )
-        )
+        comps = (psi.amps[-psi.lo].copy() if args.psi0 is None  # the default spinor
+                 else np.array([complex(*args.psi0[k : k + 2]) for k in (0, 2, 4)]))
         n = np.linalg.norm(comps)
         if n == 0:
             raise ConfigError("--psi0 must be a nonzero spinor")

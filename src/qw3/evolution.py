@@ -1,13 +1,14 @@
 """Direct simulation of the walk operator on a finite lattice window.
 
 One step applies the site coin and then shifts: component 1 moves one site
-left, component 3 one site right, component 2 stays. A hard zero boundary
-reproduces the infinite lattice exactly while the light cone stays clear of
-the edge, so a run refuses up front a window without a cone-sized margin
-(SimulationError). A run steps only the forward light cone of the initial
-support, cut to the sites that can still reach what is read. apply_u, a
-single step of a given state, flags it as leaked when amplitude sits on the
-outermost sites.
+left, component 3 one site right, component 2 stays. Runs keep the mixed
+state m = C psi component-major, where the shift is one strided view and a
+step one einsum into a second buffer. A hard zero boundary reproduces the
+infinite lattice exactly while the light cone stays clear of the edge, so a
+run refuses up front a window without a cone-sized margin (SimulationError).
+A run steps only the forward light cone of the initial support, cut to the
+sites that can still reach what is read. apply_u, a single step of a given
+state, flags it as leaked when amplitude sits on the outermost sites.
 """
 
 from __future__ import annotations
@@ -89,27 +90,39 @@ def default_initial_state(half_width: int) -> StateVector:
 
 
 def coin_stack(field: CoinField, lo: int, hi: int) -> np.ndarray:
-    """The coins of sites lo..hi as one (hi - lo + 1, 3, 3) array."""
+    """The coins of sites lo..hi as one (3, 3, hi - lo + 1) array."""
     xs = np.arange(lo - field.x_minus + 1, hi - field.x_minus + 2)
-    return field.coin_table[np.clip(xs, 0, len(field.defects) + 1)]
+    return np.take(field.coin_table.transpose(1, 2, 0), xs, axis=2, mode="clip")
 
 
-def _step(coins: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    mixed = np.einsum("xij,xj->xi", coins, amps)
-    out = np.zeros_like(amps)
-    out[:-1, 0] = mixed[1:, 0]
-    out[:, 1] = mixed[:, 1]
-    out[1:, 2] = mixed[:-1, 2]
-    return out
+def _steps(coins: np.ndarray, amps: np.ndarray, cones):
+    """Step amps (n, 3) once per cone (a, b), yielding each state as a (3, n)
+    view of one of two alternating buffers (valid until the next step but
+    one), with a and b. Rows a..b are exact: rows a - 1..b + 1 of the state
+    before, cut to the window, are mixed. einsum sums ((0 + c0 psi0) + c1 psi1)
+    + c2 psi2 per row, so a row's bits do not depend on the cone. The pads are
+    the hard walls; loading amps writes its outer rows there, so beyond one
+    step those rows must be empty."""
+    n = len(amps)
+    bufs = np.zeros((2, 3, n + 2), dtype=complex)
+    # m at row x in column x + 1; row x of the view is m_0(x + 1), m_1(x), m_2(x - 1)
+    views = [buf.reshape(-1)[2 : 3 * n + 5].reshape(3, n + 1)[:, :n] for buf in bufs]
+    views[0][:] = amps.T
+    for t, (a, b) in enumerate(cones, start=1):
+        if a <= b:
+            lo, hi = max(a - 1, 0), min(b + 1, n - 1)
+            np.einsum("ijx,jx->ix", coins[:, :, lo : hi + 1], views[1 - t % 2][:, lo : hi + 1],
+                      out=bufs[t % 2][:, lo + 1 : hi + 2])
+        yield views[t % 2], a, b
 
 
 def apply_u(field: CoinField, psi: StateVector) -> StateVector:
     """One step of the walk. Norm-preserving while nothing reaches the window edge."""
-    norms = psi.site_norms()
-    edge = max(norms[0], norms[-1]) if norms.size else 0.0
+    n = len(psi.amps)
+    edge = np.sqrt((np.abs(psi.amps[[0, -1]]) ** 2).sum(axis=1)).max() if n else 0.0
     leaked = psi.leaked or edge > LEAK_TOL
-    coins = coin_stack(field, psi.lo, psi.hi)
-    return StateVector(psi.lo, psi.hi, _step(coins, psi.amps), leaked)
+    stepped, _, _ = next(_steps(coin_stack(field, psi.lo, psi.hi), psi.amps, [(0, n - 1)]))
+    return StateVector(psi.lo, psi.hi, stepped.T.copy(), leaked)
 
 
 def _require_margin(psi0: StateVector, steps: int) -> tuple[int, int]:
@@ -130,23 +143,17 @@ def _require_margin(psi0: StateVector, steps: int) -> tuple[int, int]:
 
 
 def _run(field: CoinField, psi0: StateVector, steps: int, horizon: int | None = None):
-    """The states at times 1..steps as (amps, a, b), only rows a..b stepped:
-    the forward light cone of the initial support, cut, given a horizon, to
-    the backward cone |x| <= horizon - t of the origin. Each row is _step's,
-    bit for bit; rows outside the forward cone hold exact zeros, those outside
-    the backward cone stale values. amps is one of two reused buffers.
-    """
+    """The states at times 1..steps as ((3, n) amps, a, b), only rows a..b
+    stepped: the forward light cone of the initial support, cut, given a
+    horizon, to the backward cone |x| <= horizon - t of the origin. Each row
+    is the whole-window step's, bit for bit; rows outside the forward cone
+    hold exact zeros, those outside the backward cone stale values."""
     i_lo, i_hi = _require_margin(psi0, steps)
-    coins = coin_stack(field, psi0.lo, psi0.hi)
-    cur, nxt = psi0.amps.copy(), np.zeros_like(psi0.amps)
-    for t in range(1, steps + 1):
-        a, b = i_lo - t, i_hi + t
-        if horizon is not None:
-            a, b = max(a, t - horizon - psi0.lo), min(b, horizon - t - psi0.lo)
-        if a <= b:
-            nxt[a : b + 1] = _step(coins[a - 1 : b + 2], cur[a - 1 : b + 2])[1:-1]
-        cur, nxt = nxt, cur
-        yield cur, a, b
+    cones = ((i_lo - t, i_hi + t) for t in range(1, steps + 1))
+    if horizon is not None:
+        cones = ((max(a, t - horizon - psi0.lo), min(b, horizon - t - psi0.lo))
+                 for t, (a, b) in enumerate(cones, start=1))
+    return _steps(coin_stack(field, psi0.lo, psi0.hi), psi0.amps, cones)
 
 
 def evolve(field: CoinField, psi0: StateVector, steps: int) -> list[Distribution]:
@@ -155,8 +162,8 @@ def evolve(field: CoinField, psi0: StateVector, steps: int) -> list[Distribution
         raise ValueError("steps must be non-negative")
     out = [psi0.distribution(0)]
     for t, (amps, a, b) in enumerate(_run(field, psi0, steps), start=1):
-        probs = np.zeros(len(amps))
-        probs[a : b + 1] = (np.abs(amps[a : b + 1]) ** 2).sum(axis=1)
+        probs = np.zeros(amps.shape[1])
+        probs[a : b + 1] = (np.abs(amps[:, a : b + 1]) ** 2).sum(axis=0)
         out.append(Distribution(psi0.lo, psi0.hi, probs, t))
     return out
 
@@ -169,5 +176,5 @@ def time_averaged_origin(field: CoinField, psi0: StateVector, t_max: int) -> flo
         raise ValueError("window must contain the origin")
     acc = 0.0
     for amps, _, _ in _run(field, psi0, t_max, horizon=t_max):
-        acc += float((np.abs(amps[-psi0.lo]) ** 2).sum())
+        acc += float((np.abs(amps[:, -psi0.lo]) ** 2).sum())
     return acc / t_max

@@ -292,7 +292,7 @@ def _make_record(
         return None
     psi = _lift(field, lam, field.x_minus, values, zg, zl)
     residual = operator_residual(field, lam, psi)
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:  # NaN fails too
         diagnostics.append(
             {"kind": "residual-violation", "lambda": lam, "op_residual": residual}
         )
@@ -398,7 +398,8 @@ def _lands(v: np.ndarray, direction: np.ndarray) -> bool:
     return bool(n > 0.0 and direction.any() and abs(cross2(v / n, direction)) <= PARALLEL_TOL)
 
 
-def lambda0_adjudicate(field: CoinField) -> list[EigenvalueRecord]:
+def lambda0_adjudicate(field: CoinField,
+                       diagnostics: list[dict] | None = None) -> list[EigenvalueRecord]:
     """Decide, for each degenerate phase, whether it carries an eigenvalue.
 
     At such a phase the transfer recursion is replaced by rank-one constraints
@@ -406,7 +407,8 @@ def lambda0_adjudicate(field: CoinField) -> list[EigenvalueRecord]:
     solution: a compactly supported bump inside an asymptotic region, a
     viable constraint-chain segment through the window, or a combination
     anchored on a geometrically decaying tail. Each phase that admits one
-    yields a certified record; phases that admit none are dropped.
+    yields a certified record; phases that admit none are dropped. A failed
+    certificate is logged, and reported in diagnostics if a list is given.
     """
     records: list[EigenvalueRecord] = []
     for lam in lambda0_set(field):
@@ -416,9 +418,12 @@ def lambda0_adjudicate(field: CoinField) -> list[EigenvalueRecord]:
         start, values, rate_left, rate_right = solution
         psi = _lift(field, lam, start, values, rate_left, rate_right)
         residual = operator_residual(field, lam, psi)
-        if residual > RESIDUAL_TOL:
+        if not residual <= RESIDUAL_TOL:
             log.warning("degenerate-phase candidate at lam=%.12f rejected: "
                         "residual %.3e", lam, residual)
+            if diagnostics is not None:
+                diagnostics.append(
+                    {"kind": "residual-violation", "lambda": lam, "op_residual": residual})
             continue
         records.append(EigenvalueRecord(lam, 0.0, rate_left, rate_right, psi, residual,
                                         "lambda0-compact"))

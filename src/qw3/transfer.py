@@ -66,12 +66,6 @@ def transfer_rows(table: np.ndarray, el: np.ndarray):
             mdet * (1.0 / e - ca22) / num), zero
 
 
-def transfer_batch(coin: CoinMatrix, el):
-    """transfer_rows of one coin at el = e^{i lam}, results of el's shape."""
-    entries, zero = transfer_rows(transfer_coefficients([coin]), np.reshape(el, -1))
-    return tuple(t.reshape(np.shape(el)) for t in entries), zero.reshape(np.shape(el))
-
-
 def lambda0_angle(coin: CoinMatrix) -> float | None:
     """The unique angle in [0, 2pi) where this coin's transfer matrix degenerates.
 
@@ -126,6 +120,6 @@ def iota_inverse(lo: int, values: np.ndarray, field: CoinField, lam: float) -> S
     amps = np.zeros((hi - lo + 1, 3), dtype=complex)
     amps[:-1, 0] = values[:, 0]
     amps[1:, 2] = values[:, 1]
-    a21, a22, a23 = coin_stack(field, lo, hi)[:, 1].T
+    a21, a22, a23 = coin_stack(field, lo, hi)[1]
     amps[:, 1] = (a21 * amps[:, 0] + a23 * amps[:, 2]) / (np.exp(1j * lam) - a22)
     return StateVector(lo, hi, amps)

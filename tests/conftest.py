@@ -3,7 +3,7 @@ import pytest
 
 from qw3.coin import CoinField, CoinMatrix, ConfigError, make_fourier, make_grover, phase_scale
 from qw3.evolution import StateVector
-from qw3.transfer import transfer_batch
+from qw3.transfer import transfer_coefficients, transfer_rows
 
 THETAS = (np.pi / 12, 3 * np.pi / 12, 7 * np.pi / 12, 11 * np.pi / 12)
 
@@ -40,8 +40,14 @@ def abcd(coin: CoinMatrix, lam: float) -> tuple[complex, complex, complex, compl
     )
 
 
+def transfer_batch(coin: CoinMatrix, el):
+    """transfer_rows of one coin at el = e^{i lam}, results of el's shape."""
+    entries, zero = transfer_rows(transfer_coefficients([coin]), np.reshape(el, -1))
+    return tuple(t.reshape(np.shape(el)) for t in entries), zero.reshape(np.shape(el))
+
+
 def transfer_matrix(coin: CoinMatrix, lam: float) -> np.ndarray | None:
-    """qw3.transfer.transfer_batch at one phase as a 2x2 matrix; None where it degenerates."""
+    """transfer_batch at one phase as a 2x2 matrix; None where it degenerates."""
     (t00, t01, t10, t11), zero = transfer_batch(coin, np.exp(1j * lam))
     return None if zero else np.array([[t00, t01], [t10, t11]])
 

@@ -83,6 +83,17 @@ def test_roots_homogeneous_grover(tmp_path):
     assert abs(records[0]["lambda"]) < 1e-12
 
 
+def test_roots_reports_a_rejected_degenerate_phase(tmp_path, monkeypatch):
+    # a negative tolerance rejects the one degenerate-phase candidate
+    monkeypatch.setattr("qw3.spectral.RESIDUAL_TOL", -1.0)
+    out = tmp_path / "roots.json"
+    code = main(["roots", "--model", "homogeneous", "--coin", "grover", "--out", str(out)])
+    assert code == 3
+    doc = json.loads(out.read_text())
+    assert doc["records"] == []
+    assert [d["kind"] for d in doc["diagnostics"]] == ["residual-violation"]
+
+
 def test_scan_trace_shows_root_dips(tmp_path):
     # the masked |chi| trace dips toward zero once per eigenvalue and
     # nowhere else (spurious local minima sit orders of magnitude higher)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qw3.coin import (
+    CoinField,
     field_homogeneous,
     field_one_defect,
     field_two_phase,
@@ -9,6 +10,7 @@ from qw3.coin import (
     phase_scale,
 )
 from qw3.evolution import (
+    MARGIN,
     SimulationError,
     StateVector,
     apply_u,
@@ -184,15 +186,41 @@ def test_eigenvector_distribution_is_stationary():
         assert np.abs(state.distribution().probs - mu0).max() <= 1e-8
 
 
+def site_coins(field, lo, hi):
+    return np.array([field.lookup(x).mat for x in range(lo, hi + 1)])
+
+
+def reference_step(coins, amps):
+    """One step of site-major amps (n, 3) with site coins (n, 3, 3): mix,
+    then shift into a zeroed array. Shares no code with qw3.evolution, whose
+    steps must equal it bit for bit."""
+    mixed = np.einsum("xij,xj->xi", coins, amps)
+    out = np.zeros_like(amps)
+    out[:-1, 0] = mixed[1:, 0]
+    out[:, 1] = mixed[:, 1]
+    out[1:, 2] = mixed[:-1, 2]
+    return out
+
+
+def test_apply_u_matches_reference_step(rng):
+    field = CoinField(random_coin(rng), random_coin(rng), -4, 5,
+                      tuple(random_coin(rng) for _ in range(9)))
+    amps = rng.normal(size=(15, 3)) + 1j * rng.normal(size=(15, 3))
+    out = apply_u(field, StateVector(-7, 7, amps))
+    assert out.leaked
+    assert np.array_equal(out.amps, reference_step(site_coins(field, -7, 7), amps))
+
+
 def whole_window_run(field, psi0, steps):
     """Distributions at times 0..steps and the origin's time average, every
-    step taken over the whole window (the reference the light-cone run must
-    reproduce bit for bit)."""
-    dists, acc, psi = [psi0.distribution(0).probs], 0.0, psi0
+    step taken over the whole window by reference_step (the reference the
+    light-cone run must reproduce bit for bit)."""
+    coins = site_coins(field, psi0.lo, psi0.hi)
+    dists, acc, amps = [psi0.distribution(0).probs], 0.0, psi0.amps
     for _ in range(steps):
-        psi = apply_u(field, psi)
-        dists.append((np.abs(psi.amps) ** 2).sum(axis=1))
-        acc += float((np.abs(psi.amps[-psi0.lo]) ** 2).sum())
+        amps = reference_step(coins, amps)
+        dists.append((np.abs(amps) ** 2).sum(axis=1))
+        acc += float((np.abs(amps[-psi0.lo]) ** 2).sum())
     return dists, acc / steps
 
 
@@ -217,6 +245,9 @@ DEFECT = field_one_defect(make_fourier(), phase_scale(make_fourier(), 7 * np.pi 
     pytest.param(DEFECT, state_at(-200, 200, [150]), 40, id="unreachable-origin"),
     pytest.param(DEFECT, default_initial_state(8), 1, id="one-step"),
     pytest.param(DEFECT, state_at(-36, 99, [10, 11]), 40, id="asymmetric-window"),
+    # the support exactly steps + MARGIN sites from both window edges
+    pytest.param(DEFECT, state_at(-60, 70, [-20 + MARGIN, 30 - MARGIN]), 40, id="edge-to-edge"),
+    pytest.param(DEFECT, state_at(-10, 100, [30 + MARGIN]), 40, id="one-site-left-edge"),
 ])
 def test_light_cone_run_matches_whole_window(field, psi0, steps):
     dists, average = whole_window_run(field, psi0, steps)

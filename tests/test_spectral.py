@@ -23,9 +23,16 @@ from qw3.spectral import (
     lambda0_set,
     operator_residual,
 )
-from qw3.transfer import lambda0_angle, transfer_batch
+from qw3.transfer import lambda0_angle
 
-from conftest import THETAS, abcd, bench_wide_field, random_coin, transfer_matrix
+from conftest import (
+    THETAS,
+    abcd,
+    bench_wide_field,
+    random_coin,
+    transfer_batch,
+    transfer_matrix,
+)
 
 OMEGA = np.exp(2j * np.pi / 3)
 FOURIER_DELTA = -1j  # determinant of the 3-point DFT coin
@@ -637,7 +644,22 @@ def test_rejected_candidates_are_reported(monkeypatch, caplog):
     assert scan.records == []
     assert [d["kind"] for d in scan.diagnostics] == ["residual-violation"] * 3
     assert all(d["op_residual"] <= 1e-8 for d in scan.diagnostics)
+    diagnostics = []
     with caplog.at_level("WARNING", logger="qw3.spectral"):
-        assert lambda0_adjudicate(field_homogeneous(make_grover())) == []
+        assert lambda0_adjudicate(field_homogeneous(make_grover()), diagnostics) == []
     warnings = [r for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1 and "rejected" in warnings[0].getMessage()
+    (d,) = diagnostics
+    assert d["kind"] == "residual-violation" and abs(d["lambda"]) < 1e-12
+    assert d["op_residual"] <= 1e-8
+
+
+def test_nan_residual_fails_the_certificate(monkeypatch):
+    monkeypatch.setattr("qw3.spectral.operator_residual", lambda *args: float("nan"))
+    scan = find_roots(preset_field("one-defect", 0))
+    assert scan.records == []
+    assert [d["kind"] for d in scan.diagnostics] == ["residual-violation"] * 3
+    assert all(np.isnan(d["op_residual"]) for d in scan.diagnostics)
+    diagnostics = []
+    assert lambda0_adjudicate(field_homogeneous(make_grover()), diagnostics) == []
+    assert [d["kind"] for d in diagnostics] == ["residual-violation"]

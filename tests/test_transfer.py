@@ -8,12 +8,18 @@ from qw3.transfer import (
     ZERO_TOL,
     iota_inverse,
     lambda0_angle,
-    transfer_batch,
     transfer_rows,
     zero_case_vectors,
 )
 
-from conftest import abcd, bench_wide_field, iota, random_coin, transfer_matrix
+from conftest import (
+    abcd,
+    bench_wide_field,
+    iota,
+    random_coin,
+    transfer_batch,
+    transfer_matrix,
+)
 
 OMEGA = np.exp(2j * np.pi / 3)
 
