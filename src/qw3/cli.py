@@ -63,20 +63,13 @@ def _config_digest(field: CoinField) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _write_manifest(
-    out: Path, command: str, params: dict, field: CoinField, started: float
-) -> None:
-    manifest = {
-        "command": command,
-        "parameters": params,
-        "version": __version__,
-        "wall_time_s": time.perf_counter() - started,
-        "config_digest": _config_digest(field),
-    }
-    _write_atomic(
-        out.with_name(out.name + ".manifest.json"),
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-    )
+def _write_manifest(out: Path, command: str, params: dict, field: CoinField,
+                    started: float) -> None:
+    manifest = {"command": command, "parameters": params, "version": __version__,
+                "wall_time_s": time.perf_counter() - started,
+                "config_digest": _config_digest(field)}
+    _write_atomic(out.with_name(out.name + ".manifest.json"),
+                  json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def _resolve_field(args: argparse.Namespace) -> CoinField:
@@ -140,10 +133,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         lines.append(f"{_fmt(lam)},{abs_chi},{int(inside)},{int(at_lambda0)}")
     out = Path(args.out)
     _write_atomic(out, "\n".join(lines) + "\n")
-    _write_atomic(
-        out.with_name(out.name + ".lambda0.json"),
-        json.dumps({"lambda0": lambda0_set(field)}, sort_keys=True) + "\n",
-    )
+    _write_atomic(out.with_name(out.name + ".lambda0.json"),
+                  json.dumps({"lambda0": lambda0_set(field)}, sort_keys=True) + "\n")
     _write_manifest(out, "scan", {"grid": args.grid}, field, started)
     return EXIT_OK
 
@@ -154,10 +145,10 @@ def cmd_roots(args: argparse.Namespace) -> int:
     records, diagnostics = _all_records(field, args.grid, args.refine_tol)
     doc = {"records": [_record_json(r) for r in records], "diagnostics": diagnostics}
     out = Path(args.out)
-    _write_atomic(out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    _write_manifest(
-        out, "roots", {"grid": args.grid, "refine_tol": args.refine_tol}, field, started
-    )
+    doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)  # NaN, inf: null
+    _write_atomic(out, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    _write_manifest(out, "roots", {"grid": args.grid, "refine_tol": args.refine_tol}, field,
+                    started)
     print(f"{len(records)} eigenvalue(s) written to {out}")
     return EXIT_NUMERICAL if diagnostics else EXIT_OK
 
@@ -170,11 +161,8 @@ def cmd_eigvec(args: argparse.Namespace) -> int:
     if not matches:
         nearest = sorted(records, key=lambda r: angle_dist(r.lam, args.lam))[:3]
         hint = ", ".join(_fmt(r.lam) for r in nearest) or "none found"
-        print(
-            f"error: lambda={_fmt(args.lam)} is not an accepted root; "
-            f"nearest roots: {hint}",
-            file=sys.stderr,
-        )
+        print(f"error: lambda={_fmt(args.lam)} is not an accepted root; "
+              f"nearest roots: {hint}", file=sys.stderr)
         return EXIT_CONFIG
     psi = matches[0].eigvec
     lines = ["x,re1,im1,re2,im2,re3,im3,site_norm"]
@@ -197,10 +185,8 @@ def _initial_state(args: argparse.Namespace, half_width: int) -> StateVector:
         if n == 0:
             raise ConfigError("--psi0 must be a nonzero spinor")
         if not psi.lo <= args.psi0_site <= psi.hi:
-            raise ConfigError(
-                f"--psi0-site {args.psi0_site} outside the window "
-                f"[{psi.lo}, {psi.hi}]"
-            )
+            raise ConfigError(f"--psi0-site {args.psi0_site} outside the window "
+                              f"[{psi.lo}, {psi.hi}]")
         psi.amps[:] = 0.0
         psi.amps[args.psi0_site - psi.lo] = comps / n
     return psi
@@ -224,53 +210,35 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             lines.append(f"{x},{_fmt(final.probs[i])}")
     out = Path(args.out)
     _write_atomic(out, "\n".join(lines) + "\n")
-    _write_manifest(
-        out,
-        "evolve",
-        {"t": args.t, "window": half_width, "trajectory": bool(args.trajectory)},
-        field,
-        started,
-    )
+    _write_manifest(out, "evolve", {"t": args.t, "window": half_width,
+                                    "trajectory": bool(args.trajectory)}, field, started)
     return EXIT_OK
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
     _check_grid(args.grid)  # for every figure, though only the scans read it
-    theta = THETA_PRESETS[args.theta_index]
-    args.config = None
-    args.coin = "fourier"
-    args.theta = theta
-    args.model = "one-defect" if args.figure in ("fig1", "fig2") else "two-phase"
+    model = "one-defect" if args.figure in ("fig1", "fig2") else "two-phase"
+    vars(args).update(config=None, coin="fourier", theta=THETA_PRESETS[args.theta_index],
+                      model=model)
     if args.figure in ("fig1", "fig3"):
         return cmd_scan(args)
-    args.t = 100
-    args.window = None
-    args.trajectory = False
-    args.psi0 = None
-    args.psi0_site = 0
+    vars(args).update(t=100, window=None, trajectory=False, psi0=None, psi0_site=0)
     return cmd_evolve(args)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qw3",
-        description="Spectral analysis and simulation of three-state quantum "
-        "walks on the integer lattice.",
-    )
+    parser = argparse.ArgumentParser(prog="qw3", description="Spectral analysis and simulation "
+                                     "of three-state quantum walks on the integer lattice.")
     parser.add_argument("--version", action="version", version=f"qw3 {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", metavar="PATH", help="coin field config (JSON)")
-        p.add_argument(
-            "--model", choices=("one-defect", "two-phase", "homogeneous"),
-            help="preset model built from --coin and --theta",
-        )
+        p.add_argument("--model", choices=("one-defect", "two-phase", "homogeneous"),
+                       help="preset model built from --coin and --theta")
         p.add_argument("--coin", choices=sorted(PRESETS), default="fourier")
-        p.add_argument(
-            "--theta", type=float, default=0.0,
-            help="phase of the defect/right-half coin (presets only)",
-        )
+        p.add_argument("--theta", type=float, default=0.0,
+                       help="phase of the defect/right-half coin (presets only)")
 
     def add_search_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--grid", type=int, default=4000)

@@ -89,10 +89,10 @@ def default_initial_state(half_width: int) -> StateVector:
     return StateVector(-half_width, half_width, amps)
 
 
-def coin_stack(field: CoinField, lo: int, hi: int) -> np.ndarray:
-    """The coins of sites lo..hi as one (3, 3, hi - lo + 1) array."""
-    xs = np.arange(lo - field.x_minus + 1, hi - field.x_minus + 2)
-    return np.take(field.coin_table.transpose(1, 2, 0), xs, axis=2, mode="clip")
+def coin_stack(field: CoinField, xs: np.ndarray, row=slice(None)) -> np.ndarray:
+    """The coins of the sites xs, an int array, as (3, 3, len(xs)); one row: (3, len(xs))."""
+    return np.take(field.coin_table.transpose(1, 2, 0)[row], xs - (field.x_minus - 1), axis=-1,
+                   mode="clip")
 
 
 def _steps(coins: np.ndarray, amps: np.ndarray, cones):
@@ -121,7 +121,8 @@ def apply_u(field: CoinField, psi: StateVector) -> StateVector:
     n = len(psi.amps)
     edge = np.sqrt((np.abs(psi.amps[[0, -1]]) ** 2).sum(axis=1)).max() if n else 0.0
     leaked = psi.leaked or edge > LEAK_TOL
-    stepped, _, _ = next(_steps(coin_stack(field, psi.lo, psi.hi), psi.amps, [(0, n - 1)]))
+    coins = coin_stack(field, np.arange(psi.lo, psi.hi + 1))
+    stepped, _, _ = next(_steps(coins, psi.amps, [(0, n - 1)]))
     return StateVector(psi.lo, psi.hi, stepped.T.copy(), leaked)
 
 
@@ -153,7 +154,7 @@ def _run(field: CoinField, psi0: StateVector, steps: int, horizon: int | None = 
     if horizon is not None:
         cones = ((max(a, t - horizon - psi0.lo), min(b, horizon - t - psi0.lo))
                  for t, (a, b) in enumerate(cones, start=1))
-    return _steps(coin_stack(field, psi0.lo, psi0.hi), psi0.amps, cones)
+    return _steps(coin_stack(field, np.arange(psi0.lo, psi0.hi + 1)), psi0.amps, cones)
 
 
 def evolve(field: CoinField, psi0: StateVector, steps: int) -> list[Distribution]:

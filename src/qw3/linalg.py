@@ -7,7 +7,7 @@ general matrix sizes: the transfer reduction only ever needs 2x2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class Eig2:
     degenerate: np.ndarray
 
     def __getitem__(self, i) -> "Eig2":
-        return Eig2(*(getattr(self, f.name)[i] for f in fields(self)))
+        return Eig2(*(a[i] for a in vars(self).values()))
 
 
 def _norm(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
@@ -112,6 +112,13 @@ def eig2_batch(m00, m01, m10, m11) -> Eig2:
                 degenerate | ~ok_p | ~ok_m)
 
 
+def norm(v: np.ndarray):
+    """np.linalg.norm of a 1-D or C-contiguous complex array, by its arithmetic
+    (a dot over the real parts plus one over the imaginary), minus its overhead."""
+    v = v.reshape(-1)
+    return np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
 def cross2(u: np.ndarray, v: np.ndarray) -> complex:
     """Cross product on C^2: [u1 u2] x [v1 v2] = u1 v2 - u2 v1."""
     return u[0] * v[1] - u[1] * v[0]
@@ -119,10 +126,10 @@ def cross2(u: np.ndarray, v: np.ndarray) -> complex:
 
 def phase_fix(v: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     """Rotate a vector's global phase so its first non-negligible entry is real positive."""
-    mx = float(np.abs(v).max(initial=0.0))
-    if mx == 0.0:
+    a = np.abs(v.reshape(-1))
+    above = a > tol * a.max(initial=0.0)
+    i = above.argmax()
+    if not above[i]:  # the zero vector, or tol >= 1
         return v
-    for entry in v.flat:
-        if abs(entry) > tol * mx:
-            return v * (entry.conjugate() / abs(entry))
-    return v
+    entry = v.flat[i]
+    return v * (entry.conjugate() / abs(entry))

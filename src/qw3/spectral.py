@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coin import CoinField, CoinMatrix
-from .evolution import StateVector, apply_u
-from .linalg import TAU, Eig2, angle_dist, cross2, eig2_batch, phase_fix, wrap_phase
-from .transfer import iota_inverse, lambda0_angle, transfer_rows, zero_case_vectors
+from .evolution import StateVector, _steps, coin_stack
+from .linalg import TAU, Eig2, angle_dist, cross2, eig2_batch, norm, wrap_phase
+from .transfer import lambda0_angle, lift_rows, transfer_rows, zero_case_vectors
 
 log = logging.getLogger(__name__)
 
@@ -47,7 +47,8 @@ _TAIL_CUTOFF = 1e-12
 
 # Elements (coins x phases) per transfer_rows call: the scan's thousands of
 # phases stream a site or two at a time, while a secant step, a chain or a
-# degenerate phase gets its whole window in one broadcast.
+# degenerate phase gets its whole window in one broadcast. Also about the
+# rows (sites) of eigenvectors per operator_residual call.
 _BLOCK = 4096
 
 
@@ -168,47 +169,71 @@ class RootScan:
     diagnostics: list[dict]
 
 
-def operator_residual(field: CoinField, lam: float, psi: StateVector) -> float:
-    """||U psi - e^{i lam} psi|| / ||psi||, U applied by the direct simulator."""
-    pad = 2
-    lo, hi = psi.lo - pad, psi.hi + pad
-    amps = np.zeros((hi - lo + 1, 3), dtype=complex)
-    amps[pad : pad + psi.amps.shape[0]] = psi.amps
-    embedded = StateVector(lo, hi, amps)
-    stepped = apply_u(field, embedded)
-    diff = stepped.amps - np.exp(1j * lam) * amps
-    return float(np.linalg.norm(diff) / np.linalg.norm(amps))
+def operator_residual(field: CoinField, lam, psi):
+    """||U psi - e^{i lam} psi|| / ||psi||, U applied by the direct simulator; an
+    array of them for an array of phases and a list of states, stepped as one
+    window by one _steps call with two empty sites either side of each: a
+    row depends only on its neighbours, so each has the bits of a lone call."""
+    psis = [psi] if isinstance(psi, StateVector) else psi
+    sizes = np.array([len(p.amps) + 4 for p in psis])
+    ends = np.cumsum(sizes)
+    amps = np.zeros((ends[-1], 3), dtype=complex)
+    for p, end in zip(psis, ends.tolist()):
+        amps[end - 2 - len(p.amps) : end - 2] = p.amps
+    stepped = next(_steps(coin_stack(field, _runs([p.lo - 2 for p in psis], sizes)), amps,
+                          [(0, len(amps) - 1)]))[0]  # the coins go with the generator
+    diff = np.repeat(np.exp(1j * np.atleast_1d(lam)), sizes)[:, None] * amps
+    np.subtract(stepped.T, diff, out=diff)  # rows in order, as norm reads them
+    out = [norm(diff[e - n : e]) / norm(amps[e - n : e])
+           for n, e in zip(sizes.tolist(), ends.tolist())]
+    return float(out[0]) if isinstance(psi, StateVector) else np.array(out)
 
 
-def _tail_length(rate: float) -> int:
-    # Sites needed before a geometric tail of modulus ratio rate drops below _TAIL_CUTOFF.
-    if rate >= 1.0 - 1e-12:
-        return 100_000
-    return max(5, min(int(np.ceil(np.log(_TAIL_CUTOFF) / np.log(rate))), 100_000))
+def _runs(starts, counts) -> np.ndarray:
+    """The ranges starts[k] .. starts[k] + counts[k] - 1 (counts an array), concatenated."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
-def _lift(
-    field: CoinField, lam: float, start: int, values: np.ndarray, rate_left: complex,
-    rate_right: complex,
-) -> StateVector:
-    """The unit, phase-fixed eigenvector whose reduced state holds values from start on.
+def _tail_sites(rates: np.ndarray) -> np.ndarray:
+    """Sites of the geometric tails of rates (left and right, (2, n)) above
+    _TAIL_CUTOFF, at most 100 000; none for a zero rate, a compact side."""
+    mod = np.hypot(rates.real, rates.imag)  # abs(rate), bit for bit, unlike np.abs
+    with np.errstate(divide="ignore"):
+        sites = np.ceil(np.log(_TAIL_CUTOFF) / np.log([1.0 / mod[0], mod[1]]))
+    return np.where(mod > 0.0, np.clip(sites, 5, 100_000), 0).astype(int)
 
-    A side with a nonzero rate gets a geometric tail, rate_left**-j before
-    the first value and rate_right**j beyond the last, cut where it falls
-    below _TAIL_CUTOFF; a side with a zero rate is compact and gets none.
-    The reduced state is then lifted back to three components.
-    """
-    m_left = _tail_length(1.0 / abs(rate_left)) if rate_left else 0
-    m_right = _tail_length(abs(rate_right)) if rate_right else 0
-    last = m_left + len(values) - 1
-    grid = np.zeros((last + 1 + m_right, 2), dtype=complex)
-    grid[m_left : last + 1] = values
-    grid[last + 1 :] = rate_right ** np.arange(1, m_right + 1)[:, None] * grid[last]
-    grid[:m_left] = rate_left ** -np.arange(m_left, 0, -1)[:, None] * grid[m_left]
-    psi = iota_inverse(start - m_left, grid, field, lam).normalized()
-    # anchor the global phase on a non-negligible entry, not a decayed tail
-    amps = phase_fix(psi.amps.reshape(-1), tol=1e-6).reshape(-1, 3)
-    return StateVector(psi.lo, psi.hi, amps)
+
+def _lift(field: CoinField, candidates: list) -> list[StateVector]:
+    """The unit, phase-fixed eigenvectors of candidates (lam, start, values, rate_left,
+    rate_right): values from start on, and a geometric tail, rate_left**-j before them
+    and rate_right**j after, of _tail_sites sites, where a rate is not 0. The states
+    lie side by side, each followed by a zero row, for one lift_rows call."""
+    lams, starts, values, *rates = zip(*candidates)
+    rates = np.array(rates, dtype=complex)  # (2, n): left, right
+    tails = _tail_sites(rates)
+    lengths = np.array([len(v) for v in values])
+    sizes = tails.sum(axis=0) + lengths + 1
+    offsets = np.cumsum(sizes) - sizes
+    first = offsets + tails[0]
+    grid = np.zeros((sizes.sum(), 2), dtype=complex)
+    grid.reshape(-1)[_runs(2 * first, 2 * lengths)] = np.concatenate(values).reshape(-1)
+    # each tail: its rows from tail0 on, grown by powers of its rate from the value at its end
+    ends, counts = np.concatenate([first, first + lengths - 1]), tails.reshape(-1)
+    tail0 = np.concatenate([offsets, first + lengths])
+    powers = rates.reshape(-1).repeat(counts) ** (_runs(tail0, counts) - ends.repeat(counts))
+    grid.reshape(-1)[_runs(2 * tail0, 2 * counts)] = (
+        powers[:, None] * grid[ends].repeat(counts, axis=0)).reshape(-1)
+    los = np.array(starts) - tails[0] - 1
+    amps = lift_rows(field, _runs(los, sizes), grid, np.repeat(np.exp(1j * np.array(lams)), sizes))
+    bounds = list(zip(offsets.tolist(), (offsets + sizes).tolist()))
+    amps /= np.repeat([float(norm(amps[i:j])) for i, j in bounds], sizes)[:, None]
+    # phase_fix(tol=1e-6) per vector: anchored on an entry above the decayed tails
+    mod = np.abs(amps).reshape(-1)
+    above = mod > np.repeat(1e-6 * np.maximum.reduceat(mod, 3 * offsets), 3 * sizes)
+    pick = np.minimum.reduceat(np.where(above, np.arange(mod.size), mod.size), 3 * offsets)
+    amps *= np.repeat([e.conjugate() / abs(e) if i < mod.size else 1.0 for i, e in zip(
+        pick.tolist(), amps.reshape(-1)[np.minimum(pick, mod.size - 1)])], sizes)[:, None]
+    return [StateVector(lo, lo + j - i - 1, amps[i:j]) for lo, (i, j) in zip(los.tolist(), bounds)]
 
 
 def _chains(field: CoinField, lams: np.ndarray):
@@ -224,13 +249,14 @@ def _chains(field: CoinField, lams: np.ndarray):
     """
     el = np.exp(1j * lams)
     (left, in_left, _), (right, in_right, _) = asymptotic_spectrum(field, el)
-    f, hit = _propagate(field, el, left.v_greater, field.x_minus, field.x_plus)
-    b, _ = _propagate(field, el, right.v_less, field.x_minus, field.x_plus, backward=True)
+    f = _propagate(field, el, left.v_greater, field.x_minus, field.x_plus)
+    b = _propagate(field, el, right.v_less, field.x_minus, field.x_plus, backward=True)
     nf, nb = np.linalg.norm(f, axis=-1), np.linalg.norm(b, axis=-1)
     j = np.argmax(np.minimum(nf / nf.max(axis=0), nb / nb.max(axis=0)), axis=0)
     fj, bj = f[j, np.arange(len(lams))], b[j, np.arange(len(lams))]
     scale = (bj.conj() * fj).sum(axis=-1) / (bj.conj() * bj).sum(axis=-1)
     chains = np.where((np.arange(len(f))[:, None] > j)[..., None], scale[:, None] * b, f)
+    hit = transfer_rows(field.transfer_table[:, 1:-1], el)[1].any(axis=0)
     return chains, left.zeta_greater, right.zeta_less, in_left & in_right & ~hit
 
 
@@ -246,7 +272,7 @@ def build_eigenvector(field: CoinField, lam: float) -> StateVector:
     if not ok[0]:
         raise ValueError(f"lam={lam!r} lies outside the allowed arcs or where a "
                          "transfer matrix of the window cannot be built")
-    return _lift(field, lam, field.x_minus, chains[:, 0], zg[0], zl[0])
+    return _lift(field, [(lam, field.x_minus, chains[:, 0], zg[0], zl[0])])[0]
 
 
 def _secant(f, x0: np.ndarray, x1: np.ndarray, tol: float):
@@ -279,25 +305,29 @@ def _secant(f, x0: np.ndarray, x1: np.ndarray, tol: float):
     return x1, converged, running
 
 
-def _make_record(
-    field: CoinField, lam: float, chi_abs: float, values: np.ndarray, zg: complex,
-    zl: complex, diagnostics: list[dict],
-) -> EigenvalueRecord | None:
-    """Certify a root from its window values and tail rates, or report why not."""
-    if abs(zl) > 1.0 - DECAY_MARGIN or abs(zg) < 1.0 + DECAY_MARGIN:
-        diagnostics.append(
-            {"kind": "marginal-decay", "lambda": lam,
-             "zeta_right_abs": abs(zl), "zeta_left_abs": abs(zg)}
-        )
-        return None
-    psi = _lift(field, lam, field.x_minus, values, zg, zl)
-    residual = operator_residual(field, lam, psi)
-    if not residual <= RESIDUAL_TOL:  # NaN fails too
-        diagnostics.append(
-            {"kind": "residual-violation", "lambda": lam, "op_residual": residual}
-        )
-        return None
-    return EigenvalueRecord(lam, chi_abs, zg, zl, psi, residual, "chi-root")
+def _make_record(field: CoinField, candidates: list, tail_rates: list | None = None) -> list:
+    """Certify candidates (lam, start, values, rate_left, rate_right) in one pass: per
+    candidate, (psi, residual) or the diagnostic rejecting it, marginal-decay (a nonzero
+    tail rate, its own or its phase's in tail_rates, within DECAY_MARGIN of 1) or
+    residual-violation (its _lift eigenvector's one-step residual not <= RESIDUAL_TOL)."""
+    out = []
+    for (lam, *_), (zg, zl) in zip(candidates, tail_rates or [c[3:] for c in candidates]):
+        marginal = (zl and abs(zl) > 1.0 - DECAY_MARGIN) or (zg and abs(zg) < 1.0 + DECAY_MARGIN)
+        out.append({"kind": "marginal-decay", "lambda": lam, "zeta_right_abs": abs(zl),
+                    "zeta_left_abs": abs(zg)} if marginal else None)
+    live = [k for k, o in enumerate(out) if o is None]
+    rates = np.array([candidates[k][3:] for k in live], dtype=complex).reshape(-1, 2).T
+    rows = np.cumsum(_tail_sites(rates).sum(axis=0) + [len(candidates[k][2]) for k in live])
+    cut = np.unique([0, *(np.flatnonzero(np.diff(rows // _BLOCK)) + 1), len(live)]).tolist()
+    for run in (live[a:b] for a, b in zip(cut, cut[1:])):  # runs of about _BLOCK rows
+        lams = np.array([candidates[k][0] for k in run])
+        psis = _lift(field, [candidates[k] for k in run])
+        # one call for the run; a scalar residual stands for every state
+        residuals = np.broadcast_to(operator_residual(field, lams, psis), lams.shape).tolist()
+        for k, lam, psi, residual in zip(run, lams.tolist(), psis, residuals):
+            out[k] = ((psi, residual) if residual <= RESIDUAL_TOL else  # NaN fails too
+                      {"kind": "residual-violation", "lambda": lam, "op_residual": residual})
+    return out
 
 
 def find_roots(
@@ -349,132 +379,129 @@ def find_roots(
     keep = ~np.isnan(at)
     roots, at, slopes = roots[keep], at[keep], ((plus + minus) / (2.0 * delta))[keep]
     chains, zg, zl, _ = _chains(field, roots)
+    candidates = [(lam, field.x_minus, chains[:, k], zg[k], zl[k])
+                  for k, lam in enumerate(roots.tolist())]
     records: list[EigenvalueRecord] = []
-    for k, lam in enumerate(roots.tolist()):
+    outcomes = _make_record(field, candidates)
+    for k, ((lam, _, _, *rates), outcome) in enumerate(zip(candidates, outcomes)):
         if slopes[k] < 1e-3:
             diagnostics.append({"kind": "shallow-root", "lambda": lam, "slope": float(slopes[k])})
-        record = _make_record(field, lam, float(at[k]), chains[:, k], zg[k], zl[k],
-                              diagnostics)
-        if record is not None:
-            records.append(record)
+        if isinstance(outcome, dict):
+            diagnostics.append(outcome)
+        else:
+            records.append(EigenvalueRecord(lam, float(at[k]), *rates, *outcome, "chi-root"))
     return RootScan(records, diagnostics)
 
 
 # --- adjudication of the degenerate phases ---------------------------------
 
 
-def _tail(coin: CoinMatrix, spectrum, at_right: bool) -> tuple[np.ndarray, complex]:
-    """Admissible direction of the reduced state at a window edge, and its rate.
-
-    coin is the asymptotic coin beyond that edge, c_plus at x_plus or c_minus
-    at x_minus, and spectrum its asymptotic_spectrum at one phase. The rate
-    is 0 for a compact tail; the zero vector admits only the zero tail.
-    """
+def _tail(coin: CoinMatrix, spectrum, k: int, at_right: bool) -> tuple[np.ndarray, complex]:
+    """Admissible direction of the reduced state at a window edge, and its rate
+    (0: compact; the zero vector admits no tail), from the coin beyond that
+    edge and its asymptotic_spectrum, read at phase k."""
     pairs, in_lambda, zero = spectrum
-    if zero[0]:
+    if zero[k]:
         return zero_case_vectors(coin)[0 if at_right else 1], 0j
-    if not in_lambda[0]:
+    if not in_lambda[k]:
         return np.zeros(2, dtype=complex), 0j
-    vec, rate = ((pairs.v_less[0], pairs.zeta_less[0]) if at_right
-                 else (pairs.v_greater[0], pairs.zeta_greater[0]))
-    return vec / np.linalg.norm(vec), rate
+    vec, rate = ((pairs.v_less[k], pairs.zeta_less[k]) if at_right
+                 else (pairs.v_greater[k], pairs.zeta_greater[k]))
+    return vec / norm(vec), rate
 
 
 def _propagate(field: CoinField, el: np.ndarray, start: np.ndarray, x_from: int, x_to: int,
                backward: bool = False):
-    """_chain from start, of shape (n, 2), with the values at sites x_from..x_to
-    stacked on a new first axis, and where a transfer matrix could not be built."""
-    values, hit = [start], np.zeros(el.shape, dtype=bool)
-    for v0, v1, zero in _chain(field, el, start[:, 0], start[:, 1], x_from, x_to, backward):
-        values.append(np.stack([v0, v1], axis=-1))
-        hit |= zero
-    return np.array(values[::-1] if backward else values), hit
+    """_chain from start, (n, 2), with the values at sites x_from..x_to on a new first axis."""
+    values = np.empty((x_to - x_from + 1, *start.shape), dtype=complex)
+    rows = range(x_to - x_from, -1, -1) if backward else range(x_to - x_from + 1)
+    values[rows[0]] = start
+    for i, (v0, v1, _) in zip(rows[1:], _chain(field, el, start[:, 0], start[:, 1],
+                                               x_from, x_to, backward)):
+        values[i, :, 0], values[i, :, 1] = v0, v1
+    return values
 
 
 def _lands(v: np.ndarray, direction: np.ndarray) -> bool:
     """Whether v is nonzero and parallel, within PARALLEL_TOL, to the unit
     vector direction; nothing lands on the zero vector (an absent direction)."""
-    n = np.linalg.norm(v)
+    n = norm(v)
     return bool(n > 0.0 and direction.any() and abs(cross2(v / n, direction)) <= PARALLEL_TOL)
 
 
 def lambda0_adjudicate(field: CoinField,
                        diagnostics: list[dict] | None = None) -> list[EigenvalueRecord]:
-    """Decide, for each degenerate phase, whether it carries an eigenvalue.
-
-    At such a phase the transfer recursion is replaced by rank-one constraints
-    wherever it degenerates. Three mechanisms can produce a square-summable
-    solution: a compactly supported bump inside an asymptotic region, a
-    viable constraint-chain segment through the window, or a combination
-    anchored on a geometrically decaying tail. Each phase that admits one
-    yields a certified record; phases that admit none are dropped. A failed
-    certificate is logged, and reported in diagnostics if a list is given.
-    """
+    """Decide, for each degenerate phase, whether it carries an eigenvalue:
+    there rank-one constraints replace the transfer recursion wherever it
+    degenerates (_solutions). All phases go together: one asymptotic_spectrum
+    call, one transfer_rows call for the window's breaks, the left tail's
+    direction pushed forward (F), the right tail's backward (B), and one
+    _make_record call for each phase's leftmost solution. A rejection is
+    logged, and appended to diagnostics if a list is given."""
+    lams = np.array(lambda0_set(field))
+    if not lams.size:
+        return []
+    el, xm, xp = np.exp(1j * lams), field.x_minus, field.x_plus
+    tails = asymptotic_spectrum(field, el)
+    left, right = ([_tail(coin, tails[side], k, side == 1) for k in range(len(lams))]
+                   for side, coin in enumerate((field.c_minus, field.c_plus)))
+    f = _propagate(field, el, np.array([v for v, _ in left]), xm, xp)
+    b = _propagate(field, el, np.array([v for v, _ in right]), xm, xp, backward=True)
+    breaks = transfer_rows(field.transfer_table[:, 1:-1], el)[1]
+    cuts = [(xm + np.flatnonzero(sites)).tolist() for sites in breaks.T]
+    candidates, rates = [], []
+    for k, lam in enumerate(lams.tolist()):
+        solutions = _solutions(field, el[k : k + 1], tails, k, cuts[k], f[:, k], b[:, k],
+                               left[k], right[k])
+        if len(solutions) > 1:
+            log.info("degenerate phase lam=%.12f admits %d independent constraint-chain "
+                     "solutions; building the leftmost", lam, len(solutions))
+        if solutions:
+            candidates.append((lam, *solutions[0]))
+            rates.append((left[k][1], right[k][1]))
     records: list[EigenvalueRecord] = []
-    for lam in lambda0_set(field):
-        solution = _lambda0_solution(field, lam)
-        if solution is None:
-            continue
-        start, values, rate_left, rate_right = solution
-        psi = _lift(field, lam, start, values, rate_left, rate_right)
-        residual = operator_residual(field, lam, psi)
-        if not residual <= RESIDUAL_TOL:
-            log.warning("degenerate-phase candidate at lam=%.12f rejected: "
-                        "residual %.3e", lam, residual)
+    for (lam, _, _, *rates), outcome in zip(candidates, _make_record(field, candidates, rates)):
+        if isinstance(outcome, dict):
+            log.warning("degenerate-phase candidate at lam=%.12f rejected: %s", lam, outcome)
             if diagnostics is not None:
-                diagnostics.append(
-                    {"kind": "residual-violation", "lambda": lam, "op_residual": residual})
-            continue
-        records.append(EigenvalueRecord(lam, 0.0, rate_left, rate_right, psi, residual,
-                                        "lambda0-compact"))
+                diagnostics.append(outcome)
+        else:
+            records.append(EigenvalueRecord(lam, 0.0, *rates, *outcome, "lambda0-compact"))
     return records
 
 
-def _lambda0_solution(
-    field: CoinField, lam: float
-) -> tuple[int, np.ndarray, complex, complex] | None:
-    """A nonzero square-summable reduced state at a degenerate phase, or None.
+def _solutions(field: CoinField, el: np.ndarray, tails, k: int, cuts: list[int], f: np.ndarray,
+               b: np.ndarray, left: tuple, right: tuple) -> list[tuple]:
+    """The square-summable reduced states at degenerate phase k, leftmost
+    first, as (first site, values, tail rates of the window edges reached).
 
-    A compact bump strictly inside an asymptotic region is the chain of
-    length zero there: the direction the region's coin hands over to a site
-    must land on the one it requires at that site. Otherwise the window
-    splits into segments at the sites whose transfer matrix cannot be built,
-    each anchored on a direction at its left end (the left tail's, or the one
-    the break on its left hands over) and viable iff its chain lands on the
-    direction required at its right end (the right tail's, for the last).
-    Each viable segment is an independent eigenvector; the leftmost is
-    returned as _lift takes it: its first site, its values, and the tail
-    rates of the window edges it reaches (0 on a compactly supported side).
+    A compact bump in an asymptotic region: the direction its coin hands a
+    site lands on the one it requires. Else the window splits at cuts into
+    segments, each anchored on left's direction or the one its cut hands
+    over, and viable iff its chain lands on the direction required at its
+    right end (right's for the last). The first one's chain is f; the last
+    of several is viable iff b lands on its anchor, and only then pushed.
     """
-    el = np.exp(1j * np.array([lam]))
-    tails = asymptotic_spectrum(field, el)
     for coin, x, (_, _, zero) in ((field.c_plus, field.x_plus + 1, tails[1]),
                                   (field.c_minus, field.x_minus - 1, tails[0])):
-        if zero[0]:
+        if zero[k]:
             required, handed = zero_case_vectors(coin)
             if _lands(handed, required):
-                return x, handed[None, :], 0j, 0j
-
+                return [(x, handed[None, :], 0j, 0j)]
     xm, xp = field.x_minus, field.x_plus
-    v_left, rate_left = _tail(field.c_minus, tails[0], at_right=False)
-    v_right, rate_right = _tail(field.c_plus, tails[1], at_right=True)
-    segments = []
-    start, anchor, rate = xm, v_left, rate_left
-    breaks = np.flatnonzero(transfer_rows(field.transfer_table[:, 1:-1], el)[1][:, 0])
-    for b in (xm + breaks).tolist():
-        end_dir, next_anchor = zero_case_vectors(field.lookup(b))
-        segments.append((start, anchor, b, end_dir, rate, 0j))
-        start, anchor, rate = b + 1, next_anchor, 0j
-    segments.append((start, anchor, xp, v_right, rate, rate_right))
-
+    turns = [zero_case_vectors(field.lookup(c)) for c in cuts]  # (required at c, handed on)
+    segments = zip([xm] + [c + 1 for c in cuts], cuts + [xp],
+                   [left[0]] + [h for _, h in turns], [r for r, _ in turns] + [right[0]])
     solutions = []
-    for start, anchor, end, end_dir, rate_l, rate_r in segments:
-        # a segment ends before the next break, so its chain is always built
-        if anchor.any() and end_dir.any():
-            values = _propagate(field, el, anchor[None, :], start, end)[0][:, 0]
-            if _lands(values[-1], end_dir):
-                solutions.append((start, values, rate_l, rate_r))
-    if len(solutions) > 1:
-        log.info("degenerate phase lam=%.12f admits %d independent constraint-chain "
-                 "solutions; building the leftmost", lam, len(solutions))
-    return solutions[0] if solutions else None
+    for i, (start, end, anchor, end_dir) in enumerate(segments):
+        if 0 < i == len(cuts):
+            viable = _lands(b[start - xm], anchor)
+            values = _propagate(field, el, anchor[None, :], start, end)[:, 0] if viable else None
+        else:
+            values = (f[: end - xm + 1] if i == 0 else
+                      _propagate(field, el, anchor[None, :], start, end)[:, 0])
+            viable = _lands(values[-1], end_dir)
+        if viable:
+            solutions.append((start, values, left[1] if i == 0 else 0j,
+                              right[1] if i == len(cuts) else 0j))
+    return solutions

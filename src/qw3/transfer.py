@@ -15,8 +15,8 @@ import logging
 import numpy as np
 
 from .coin import CoinField, CoinMatrix
-from .evolution import StateVector, coin_stack
-from .linalg import phase_fix, wrap_phase
+from .evolution import coin_stack
+from .linalg import norm, phase_fix, wrap_phase
 
 log = logging.getLogger(__name__)
 
@@ -97,7 +97,7 @@ def zero_case_vectors(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray]:
     m = coin.mat
 
     def _norm(v: np.ndarray) -> np.ndarray:
-        n = np.linalg.norm(v)
+        n = norm(v)
         if n <= 1e-300:
             return np.zeros(2, dtype=complex)
         return phase_fix(v / n)
@@ -107,19 +107,16 @@ def zero_case_vectors(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray]:
     return _norm(left), _norm(right)
 
 
-def iota_inverse(lo: int, values: np.ndarray, field: CoinField, lam: float) -> StateVector:
-    """Lift a reduced state back to three components at eigenphase lam.
-
-    values has shape (n, 2) and holds the reduced state at sites lo..lo+n-1.
-    psi_1(x) = psi~_1(x+1), psi_3(x) = psi~_2(x) and the middle component is
-    reconstructed from the coin at x:
+def lift_rows(field: CoinField, xs: np.ndarray, grid: np.ndarray, el) -> np.ndarray:
+    """Lift reduced states back to three components at e^{i lam} = el (one, or one
+    per row). Row r, at site x = xs[r], takes psi_1(x) = psi~_1(x+1) = grid[r, 0],
+    psi_3(x) = psi~_2(x) = grid[r - 1, 1] (0 for r = 0), and
         psi_2(x) = (a21 psi_1(x) + a23 psi_3(x)) / (e^{i lam} - a22).
-    The output window is [lo - 1, lo + n - 1] (one site wider on the left).
-    """
-    lo, hi = lo - 1, lo + len(values) - 1
-    amps = np.zeros((hi - lo + 1, 3), dtype=complex)
-    amps[:-1, 0] = values[:, 0]
-    amps[1:, 2] = values[:, 1]
-    a21, a22, a23 = coin_stack(field, lo, hi)[1]
-    amps[:, 1] = (a21 * amps[:, 0] + a23 * amps[:, 2]) / (np.exp(1j * lam) - a22)
-    return StateVector(lo, hi, amps)
+    A state on n sites lifts to n + 1 rows from one site left of its first; states
+    side by side, each followed by a zero row, lift as they do alone."""
+    amps = np.zeros((len(grid), 3), dtype=complex)
+    amps[:, 0] = grid[:, 0]
+    amps[1:, 2] = grid[:-1, 1]
+    a21, a22, a23 = coin_stack(field, xs, row=1)
+    amps[:, 1] = (a21 * amps[:, 0] + a23 * amps[:, 2]) / (el - a22)
+    return amps

@@ -3,7 +3,7 @@ import pytest
 
 from qw3.coin import CoinField, CoinMatrix, ConfigError, make_fourier, make_grover, phase_scale
 from qw3.evolution import StateVector
-from qw3.transfer import transfer_coefficients, transfer_rows
+from qw3.transfer import lift_rows, transfer_coefficients, transfer_rows
 
 THETAS = (np.pi / 12, 3 * np.pi / 12, 7 * np.pi / 12, 11 * np.pi / 12)
 
@@ -52,11 +52,21 @@ def transfer_matrix(coin: CoinMatrix, lam: float) -> np.ndarray | None:
     return None if zero else np.array([[t00, t01], [t10, t11]])
 
 
+def iota_inverse(lo: int, values: np.ndarray, field: CoinField, lam: float) -> StateVector:
+    """Lift one reduced state, values (n, 2) at sites lo..lo+n-1, back to
+    three components at eigenphase lam, on the window [lo - 1, lo + n - 1]:
+    qw3.transfer.lift_rows on a single state."""
+    grid = np.zeros((len(values) + 1, 2), dtype=complex)
+    grid[:-1] = values
+    amps = lift_rows(field, np.arange(lo - 1, lo + len(values)), grid, np.exp(1j * lam))
+    return StateVector(lo - 1, lo + len(values) - 1, amps)
+
+
 def iota(state: StateVector) -> tuple[int, np.ndarray]:
     """Reduce a three-component state: (iota psi)(x) = [psi_1(x-1), psi_3(x)].
 
     Returns the first site and the values from there on, shape (n, 2): the
-    inverse of qw3.transfer.iota_inverse on the window interior.
+    inverse of iota_inverse on the window interior.
     """
     lo, hi = state.lo, state.hi + 1
     values = np.zeros((hi - lo + 1, 2), dtype=complex)

@@ -6,7 +6,6 @@ from qw3.linalg import TAU, cross2
 from qw3.spectral import _lands
 from qw3.transfer import (
     ZERO_TOL,
-    iota_inverse,
     lambda0_angle,
     transfer_rows,
     zero_case_vectors,
@@ -16,6 +15,7 @@ from conftest import (
     abcd,
     bench_wide_field,
     iota,
+    iota_inverse,
     random_coin,
     transfer_batch,
     transfer_matrix,
