@@ -113,8 +113,7 @@ def eig2_batch(m00, m01, m10, m11) -> Eig2:
 
 
 def norm(v: np.ndarray):
-    """np.linalg.norm of a 1-D or C-contiguous complex array, by its arithmetic
-    (a dot over the real parts plus one over the imaginary), minus its overhead."""
+    """np.linalg.norm of a 1-D or C-contiguous complex array, same arithmetic, less overhead."""
     v = v.reshape(-1)
     return np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 

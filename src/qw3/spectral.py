@@ -36,14 +36,14 @@ IM_TOL = 1e-9
 # Certification threshold for ||U psi - e^{i lam} psi|| of accepted records.
 RESIDUAL_TOL = 1e-8
 
-# Accepted decay rates must be bounded away from the unit circle.
+# Accepted decay rates lie this far from the unit circle, tails no longer than _TAIL_SITES.
 DECAY_MARGIN = 1e-6
 
 # Two unit vectors are considered parallel when |cross| is below this.
 PARALLEL_TOL = 1e-10
 
 _SECANT_MAX_ITER = 60
-_TAIL_CUTOFF = 1e-12
+_TAIL_CUTOFF, _TAIL_SITES = 1e-12, 100_000
 
 # Elements (coins x phases) per transfer_rows call: the scan's thousands of
 # phases stream a site or two at a time, while a secant step, a chain or a
@@ -196,21 +196,21 @@ def _runs(starts, counts) -> np.ndarray:
 
 def _tail_sites(rates: np.ndarray) -> np.ndarray:
     """Sites of the geometric tails of rates (left and right, (2, n)) above
-    _TAIL_CUTOFF, at most 100 000; none for a zero rate, a compact side."""
+    _TAIL_CUTOFF, at least 5; none for a zero rate, a compact side."""
     mod = np.hypot(rates.real, rates.imag)  # abs(rate), bit for bit, unlike np.abs
     with np.errstate(divide="ignore"):
         sites = np.ceil(np.log(_TAIL_CUTOFF) / np.log([1.0 / mod[0], mod[1]]))
-    return np.where(mod > 0.0, np.clip(sites, 5, 100_000), 0).astype(int)
+    return np.where(mod > 0.0, np.maximum(sites, 5), 0)
 
 
 def _lift(field: CoinField, candidates: list) -> list[StateVector]:
     """The unit, phase-fixed eigenvectors of candidates (lam, start, values, rate_left,
     rate_right): values from start on, and a geometric tail, rate_left**-j before them
-    and rate_right**j after, of _tail_sites sites, where a rate is not 0. The states
+    and rate_right**j after, on _tail_sites sites, where a rate is not 0. The states
     lie side by side, each followed by a zero row, for one lift_rows call."""
     lams, starts, values, *rates = zip(*candidates)
     rates = np.array(rates, dtype=complex)  # (2, n): left, right
-    tails = _tail_sites(rates)
+    tails = _tail_sites(rates).astype(int)
     lengths = np.array([len(v) for v in values])
     sizes = tails.sum(axis=0) + lengths + 1
     offsets = np.cumsum(sizes) - sizes
@@ -308,18 +308,20 @@ def _secant(f, x0: np.ndarray, x1: np.ndarray, tol: float):
 def _make_record(field: CoinField, candidates: list, tail_rates: list | None = None) -> list:
     """Certify candidates (lam, start, values, rate_left, rate_right) in one pass: per
     candidate, (psi, residual) or the diagnostic rejecting it, marginal-decay (a nonzero
-    tail rate, its own or its phase's in tail_rates, within DECAY_MARGIN of 1) or
-    residual-violation (its _lift eigenvector's one-step residual not <= RESIDUAL_TOL)."""
-    out = []
-    for (lam, *_), (zg, zl) in zip(candidates, tail_rates or [c[3:] for c in candidates]):
-        marginal = (zl and abs(zl) > 1.0 - DECAY_MARGIN) or (zg and abs(zg) < 1.0 + DECAY_MARGIN)
+    tail rate, its own or its phase's in tail_rates, within DECAY_MARGIN of 1, or an own
+    tail longer than _TAIL_SITES) or residual-violation (its _lift eigenvector's one-step
+    residual not <= RESIDUAL_TOL)."""
+    rates = np.array([c[3:] for c in candidates], dtype=complex).reshape(-1, 2).T
+    sites, out = _tail_sites(rates), []
+    for k, ((lam, *_), (zg, zl)) in enumerate(zip(candidates, tail_rates or rates.T)):
+        marginal = ((zl and abs(zl) > 1.0 - DECAY_MARGIN) or (zg and abs(zg) < 1.0 + DECAY_MARGIN)
+                    or sites[:, k].max() > _TAIL_SITES)
         out.append({"kind": "marginal-decay", "lambda": lam, "zeta_right_abs": abs(zl),
                     "zeta_left_abs": abs(zg)} if marginal else None)
     live = [k for k, o in enumerate(out) if o is None]
-    rates = np.array([candidates[k][3:] for k in live], dtype=complex).reshape(-1, 2).T
-    rows = np.cumsum(_tail_sites(rates).sum(axis=0) + [len(candidates[k][2]) for k in live])
-    cut = np.unique([0, *(np.flatnonzero(np.diff(rows // _BLOCK)) + 1), len(live)]).tolist()
-    for run in (live[a:b] for a, b in zip(cut, cut[1:])):  # runs of about _BLOCK rows
+    rows = np.cumsum(sites.sum(axis=0)[live] + [len(candidates[k][2]) for k in live])
+    cut = [0, *(np.flatnonzero(np.diff(rows // _BLOCK)) + 1).tolist(), len(live)]
+    for run in (live[a:b] for a, b in zip(cut, cut[1:]) if a < b):  # about _BLOCK rows each
         lams = np.array([candidates[k][0] for k in run])
         psis = _lift(field, [candidates[k] for k in run])
         # one call for the run; a scalar residual stands for every state
@@ -342,9 +344,8 @@ def find_roots(
     degenerate phases. A run stops once its step is at most refine_tol; it
     is a root iff it then lies within IM_TOL of the real axis. Runs that
     meet an undefined chi end as non-roots, and roots closer than 1e-9 are
-    merged.
-    Each root is certified by reconstructing its eigenvector and checking the
-    one-step residual against the direct simulator.
+    merged. The roots are certified together (_make_record): their eigenvectors
+    lifted side by side and stepped by the direct simulator in a few passes.
     """
     if grid_n < 1000:
         raise ValueError("grid_n must be at least 1000")

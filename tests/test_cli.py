@@ -94,6 +94,22 @@ def test_roots_reports_a_rejected_degenerate_phase(tmp_path, monkeypatch):
     assert [d["kind"] for d in doc["diagnostics"]] == ["residual-violation"]
 
 
+def test_roots_writes_a_nan_residual_as_null(tmp_path, monkeypatch):
+    monkeypatch.setattr("qw3.spectral.operator_residual", lambda *args: float("nan"))
+    out = tmp_path / "roots.json"
+    code = main(["roots", "--model", "one-defect", "--theta", "0.2617993877991494",
+                 "--out", str(out)])
+    assert code == 3
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(out.read_text(), parse_constant=refuse)
+    assert doc["records"] == []
+    assert [(d["kind"], d["op_residual"]) for d in doc["diagnostics"]] == [
+        ("residual-violation", None)] * 3
+
+
 def test_scan_trace_shows_root_dips(tmp_path):
     # the masked |chi| trace dips toward zero once per eigenvalue and
     # nowhere else (spurious local minima sit orders of magnitude higher)

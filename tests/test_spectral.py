@@ -496,6 +496,74 @@ def test_wide_window_root_certified_by_the_joined_chain():
     assert [d for d in scan.diagnostics if d["kind"] == "residual-violation"] == []
 
 
+def test_batched_certificates_match_one_root_at_a_time():
+    # seed-101 benchmark field 23 (32 sites): find_roots lifts and steps all
+    # its roots together; one root at a time gives every record bit for bit
+    field = bench_wide_field(101, 23)
+    records = find_roots(field).records
+    assert len(records) >= 40
+    psis = [build_eigenvector(field, r.lam) for r in records]
+    for r, psi in zip(records, psis):
+        assert (psi.lo, psi.hi) == (r.eigvec.lo, r.eigvec.hi), r.lam
+        assert psi.amps.tobytes() == r.eigvec.amps.tobytes(), r.lam
+        assert operator_residual(field, r.lam, psi) == r.op_residual, r.lam
+    lams = np.array([r.lam for r in records])
+    assert operator_residual(field, lams, psis).tolist() == [r.op_residual for r in records]
+
+
+def grover_fields():
+    """One-defect and two-phase Grover at the four theta, a Fourier bulk with
+    a Grover defect at the four theta, and homogeneous Grover."""
+    g = make_grover()
+    return ([field_one_defect(g, phase_scale(g, t)) for t in THETAS]
+            + [field_two_phase(g, phase_scale(g, t)) for t in THETAS]
+            + [field_one_defect(make_fourier(), phase_scale(g, t)) for t in THETAS]
+            + [field_homogeneous(g)])
+
+
+def test_grover_degenerate_phase_records_pinned():
+    # (phase, eigenvector window) of each degenerate-phase record, in
+    # grover_fields() order: compact bumps beyond the window on the Grover
+    # sides, none for a lone Grover defect in a Fourier bulk
+    expected = ([[(0.0, (1, 2))]] * 4
+                + [[(0.0, (-2, -1)), (t, (0, 1))] for t in THETAS]
+                + [[]] * 4
+                + [[(0.0, (0, 1))]])
+    for field, want in zip(grover_fields(), expected, strict=True):
+        records = lambda0_adjudicate(field)
+        assert len(records) == len(want)
+        for r, (lam, window) in zip(records, want):
+            assert abs(r.lam - lam) <= 1e-12 and (r.eigvec.lo, r.eigvec.hi) == window
+            assert r.source == "lambda0-compact" and r.zeta_left == r.zeta_right == 0
+            assert r.op_residual <= 1e-15
+
+
+def test_marginal_decay_gates_degenerate_phases(monkeypatch):
+    # with a margin this wide every geometric tail is marginal: the compact
+    # chain between the geometric tails of the interior-chain field is
+    # reported, not certified, while homogeneous Grover, whose tails are
+    # compact, keeps its record
+    monkeypatch.setattr("qw3.spectral.DECAY_MARGIN", 1.0)
+    bulk = phase_scale(make_fourier(), np.pi / 2)
+    field = CoinField(bulk, bulk, -1, 1, (make_grover(), make_grover()))
+    diagnostics = []
+    assert lambda0_adjudicate(field, diagnostics) == []
+    (d,) = diagnostics
+    assert d["kind"] == "marginal-decay" and abs(d["lambda"]) < 1e-12
+    assert 0.0 < d["zeta_right_abs"] < 1.0 < d["zeta_left_abs"]
+    assert len(lambda0_adjudicate(field_homogeneous(make_grover()))) == 1
+
+
+def test_tails_longer_than_the_bound_are_marginal(monkeypatch):
+    # a root whose tails would need more sites than _TAIL_SITES to decay is
+    # reported as marginal-decay, not built with a tail cut short; every
+    # geometric tail has at least 5 sites
+    monkeypatch.setattr("qw3.spectral._TAIL_SITES", 4)
+    scan = find_roots(preset_field("one-defect", 0))
+    assert scan.records == []
+    assert [d["kind"] for d in scan.diagnostics] == ["marginal-decay"] * 3
+
+
 def test_wide_field_matches_dense_diagonalization():
     # a 16-site random window whose |chi| grows through the window: the roots
     # are found by their zero, not by how small |chi| gets there
