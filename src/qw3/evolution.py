@@ -121,8 +121,7 @@ def apply_u(field: CoinField, psi: StateVector) -> StateVector:
     n = len(psi.amps)
     edge = np.sqrt((np.abs(psi.amps[[0, -1]]) ** 2).sum(axis=1)).max() if n else 0.0
     leaked = psi.leaked or edge > LEAK_TOL
-    coins = coin_stack(field, np.arange(psi.lo, psi.hi + 1))
-    stepped, _, _ = next(_steps(coins, psi.amps, [(0, n - 1)]))
+    stepped = next(_steps(coin_stack(field, psi.lo + np.arange(n)), psi.amps, [(0, n - 1)]))[0]
     return StateVector(psi.lo, psi.hi, stepped.T.copy(), leaked)
 
 

@@ -195,8 +195,7 @@ def _runs(starts, counts) -> np.ndarray:
 
 
 def _tail_sites(rates: np.ndarray) -> np.ndarray:
-    """Sites of the geometric tails of rates (left and right, (2, n)) above
-    _TAIL_CUTOFF, at least 5; none for a zero rate, a compact side."""
+    """Sites of the geometric tails of rates ((2, n): left, right) above _TAIL_CUTOFF, >= 5."""
     mod = np.hypot(rates.real, rates.imag)  # abs(rate), bit for bit, unlike np.abs
     with np.errstate(divide="ignore"):
         sites = np.ceil(np.log(_TAIL_CUTOFF) / np.log([1.0 / mod[0], mod[1]]))
@@ -306,18 +305,18 @@ def _secant(f, x0: np.ndarray, x1: np.ndarray, tol: float):
 
 
 def _make_record(field: CoinField, candidates: list, tail_rates: list | None = None) -> list:
-    """Certify candidates (lam, start, values, rate_left, rate_right) in one pass: per
-    candidate, (psi, residual) or the diagnostic rejecting it, marginal-decay (a nonzero
-    tail rate, its own or its phase's in tail_rates, within DECAY_MARGIN of 1, or an own
-    tail longer than _TAIL_SITES) or residual-violation (its _lift eigenvector's one-step
-    residual not <= RESIDUAL_TOL)."""
-    rates = np.array([c[3:] for c in candidates], dtype=complex).reshape(-1, 2).T
-    sites, out = _tail_sites(rates), []
-    for k, ((lam, *_), (zg, zl)) in enumerate(zip(candidates, tail_rates or rates.T)):
-        marginal = ((zl and abs(zl) > 1.0 - DECAY_MARGIN) or (zg and abs(zg) < 1.0 + DECAY_MARGIN)
-                    or sites[:, k].max() > _TAIL_SITES)
-        out.append({"kind": "marginal-decay", "lambda": lam, "zeta_right_abs": abs(zl),
-                    "zeta_left_abs": abs(zg)} if marginal else None)
+    """Certify candidates (lam, start, values, rate_left, rate_right) together: (psi,
+    residual) or the rejecting diagnostic each, marginal-decay for a nonzero tail rate (its
+    own, or its phase's in tail_rates) within DECAY_MARGIN of 1 or an own tail longer than
+    _TAIL_SITES, residual-violation for a one-step residual not <= RESIDUAL_TOL."""
+    own = np.array([c[3:] for c in candidates], dtype=complex).reshape(-1, 2).T
+    tails = own if tail_rates is None else np.array(tail_rates, dtype=complex).reshape(-1, 2).T
+    mod, sites = np.hypot(tails.real, tails.imag), _tail_sites(own)  # mod: abs(), bit for bit
+    marginal = (((mod[1] > 1.0 - DECAY_MARGIN) & (mod[1] > 0.0)) | ((mod[0] < 1.0 + DECAY_MARGIN)
+                & (mod[0] > 0.0)) | (np.max(sites, axis=0, initial=0) > _TAIL_SITES))
+    out = [{"kind": "marginal-decay", "lambda": c[0], "zeta_right_abs": right,
+            "zeta_left_abs": left} if m else None
+           for c, m, left, right in zip(candidates, marginal, *mod.tolist())]
     live = [k for k, o in enumerate(out) if o is None]
     rows = np.cumsum(sites.sum(axis=0)[live] + [len(candidates[k][2]) for k in live])
     cut = [0, *(np.flatnonzero(np.diff(rows // _BLOCK)) + 1).tolist(), len(live)]
@@ -490,6 +489,8 @@ def _solutions(field: CoinField, el: np.ndarray, tails, k: int, cuts: list[int],
             if _lands(handed, required):
                 return [(x, handed[None, :], 0j, 0j)]
     xm, xp = field.x_minus, field.x_plus
+    if not (cuts[1:] or left[0].any() or right[0].any()):
+        return []  # no tail to anchor or land on, and no segment between two cuts
     turns = [zero_case_vectors(field.lookup(c)) for c in cuts]  # (required at c, handed on)
     segments = zip([xm] + [c + 1 for c in cuts], cuts + [xp],
                    [left[0]] + [h for _, h in turns], [r for r, _ in turns] + [right[0]])
