@@ -248,15 +248,14 @@ def _chains(field: CoinField, lams: np.ndarray):
     """
     el = np.exp(1j * lams)
     (left, in_left, _), (right, in_right, _) = asymptotic_spectrum(field, el)
-    f = _propagate(field, el, left.v_greater, field.x_minus, field.x_plus)
-    b = _propagate(field, el, right.v_less, field.x_minus, field.x_plus, backward=True)
+    f, zeros = _propagate(field, el, left.v_greater, field.x_minus, field.x_plus)
+    b = _propagate(field, el, right.v_less, field.x_minus, field.x_plus, backward=True)[0]
     nf, nb = np.linalg.norm(f, axis=-1), np.linalg.norm(b, axis=-1)
     j = np.argmax(np.minimum(nf / nf.max(axis=0), nb / nb.max(axis=0)), axis=0)
     fj, bj = f[j, np.arange(len(lams))], b[j, np.arange(len(lams))]
     scale = (bj.conj() * fj).sum(axis=-1) / (bj.conj() * bj).sum(axis=-1)
     chains = np.where((np.arange(len(f))[:, None] > j)[..., None], scale[:, None] * b, f)
-    hit = transfer_rows(field.transfer_table[:, 1:-1], el)[1].any(axis=0)
-    return chains, left.zeta_greater, right.zeta_less, in_left & in_right & ~hit
+    return chains, left.zeta_greater, right.zeta_less, in_left & in_right & ~zeros.any(axis=0)
 
 
 def build_eigenvector(field: CoinField, lam: float) -> StateVector:
@@ -412,14 +411,16 @@ def _tail(coin: CoinMatrix, spectrum, k: int, at_right: bool) -> tuple[np.ndarra
 
 def _propagate(field: CoinField, el: np.ndarray, start: np.ndarray, x_from: int, x_to: int,
                backward: bool = False):
-    """_chain from start, (n, 2), with the values at sites x_from..x_to on a new first axis."""
+    """_chain from start, (n, 2): the values at sites x_from..x_to on a new first axis,
+    and its mask of the sites stepped, in the order stepped, (x_to - x_from, n)."""
     values = np.empty((x_to - x_from + 1, *start.shape), dtype=complex)
     rows = range(x_to - x_from, -1, -1) if backward else range(x_to - x_from + 1)
-    values[rows[0]] = start
-    for i, (v0, v1, _) in zip(rows[1:], _chain(field, el, start[:, 0], start[:, 1],
-                                               x_from, x_to, backward)):
+    values[rows[0]], zeros = start, []
+    for i, (v0, v1, zero) in zip(rows[1:], _chain(field, el, start[:, 0], start[:, 1],
+                                                  x_from, x_to, backward)):
         values[i, :, 0], values[i, :, 1] = v0, v1
-    return values
+        zeros.append(zero)
+    return values, np.array(zeros, dtype=bool).reshape(x_to - x_from, len(el))
 
 
 def _lands(v: np.ndarray, direction: np.ndarray) -> bool:
@@ -431,13 +432,12 @@ def _lands(v: np.ndarray, direction: np.ndarray) -> bool:
 
 def lambda0_adjudicate(field: CoinField,
                        diagnostics: list[dict] | None = None) -> list[EigenvalueRecord]:
-    """Decide, for each degenerate phase, whether it carries an eigenvalue:
-    there rank-one constraints replace the transfer recursion wherever it
-    degenerates (_solutions). All phases go together: one asymptotic_spectrum
-    call, one transfer_rows call for the window's breaks, the left tail's
-    direction pushed forward (F), the right tail's backward (B), and one
-    _make_record call for each phase's leftmost solution. A rejection is
-    logged, and appended to diagnostics if a list is given."""
+    """Decide, for each degenerate phase, whether it carries an eigenvalue: there
+    rank-one constraints replace the transfer recursion wherever it degenerates
+    (_solutions). All phases go together: one asymptotic_spectrum call, the left
+    tail's direction pushed forward (F, which finds the window's breaks) and the
+    right tail's backward (B), and one _make_record call for each phase's leftmost
+    solution. A rejection is logged, and appended to diagnostics if given a list."""
     lams = np.array(lambda0_set(field))
     if not lams.size:
         return []
@@ -445,9 +445,8 @@ def lambda0_adjudicate(field: CoinField,
     tails = asymptotic_spectrum(field, el)
     left, right = ([_tail(coin, tails[side], k, side == 1) for k in range(len(lams))]
                    for side, coin in enumerate((field.c_minus, field.c_plus)))
-    f = _propagate(field, el, np.array([v for v, _ in left]), xm, xp)
-    b = _propagate(field, el, np.array([v for v, _ in right]), xm, xp, backward=True)
-    breaks = transfer_rows(field.transfer_table[:, 1:-1], el)[1]
+    f, breaks = _propagate(field, el, np.array([v for v, _ in left]), xm, xp)
+    b = _propagate(field, el, np.array([v for v, _ in right]), xm, xp, backward=True)[0]
     cuts = [(xm + np.flatnonzero(sites)).tolist() for sites in breaks.T]
     candidates, rates = [], []
     for k, lam in enumerate(lams.tolist()):
@@ -460,7 +459,8 @@ def lambda0_adjudicate(field: CoinField,
             candidates.append((lam, *solutions[0]))
             rates.append((left[k][1], right[k][1]))
     records: list[EigenvalueRecord] = []
-    for (lam, _, _, *rates), outcome in zip(candidates, _make_record(field, candidates, rates)):
+    outcomes = _make_record(field, candidates, rates) if candidates else []
+    for (lam, _, _, *rates), outcome in zip(candidates, outcomes):
         if isinstance(outcome, dict):
             log.warning("degenerate-phase candidate at lam=%.12f rejected: %s", lam, outcome)
             if diagnostics is not None:
@@ -498,10 +498,10 @@ def _solutions(field: CoinField, el: np.ndarray, tails, k: int, cuts: list[int],
     for i, (start, end, anchor, end_dir) in enumerate(segments):
         if 0 < i == len(cuts):
             viable = _lands(b[start - xm], anchor)
-            values = _propagate(field, el, anchor[None, :], start, end)[:, 0] if viable else None
+            values = _propagate(field, el, anchor[None, :], start, end)[0][:, 0] if viable else None
         else:
             values = (f[: end - xm + 1] if i == 0 else
-                      _propagate(field, el, anchor[None, :], start, end)[:, 0])
+                      _propagate(field, el, anchor[None, :], start, end)[0][:, 0])
             viable = _lands(values[-1], end_dir)
         if viable:
             solutions.append((start, values, left[1] if i == 0 else 0j,
