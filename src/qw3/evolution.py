@@ -90,7 +90,7 @@ def default_initial_state(half_width: int) -> StateVector:
 
 
 def coin_stack(field: CoinField, xs: np.ndarray, row=slice(None)) -> np.ndarray:
-    """The coins of the sites xs, an int array, as (3, 3, len(xs)); one row: (3, len(xs))."""
+    """The coins of the sites xs (an int array) as (3, 3, len(xs)), or their row `row` only."""
     return np.take(field.coin_table.transpose(1, 2, 0)[row], xs - (field.x_minus - 1), axis=-1,
                    mode="clip")
 
