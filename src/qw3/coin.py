@@ -129,6 +129,12 @@ class CoinField:
         from .transfer import transfer_coefficients  # transfer imports this module
         return transfer_coefficients((self.c_minus, *self.defects, self.c_plus))
 
+    @cached_property
+    def constraint_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """zero_case_vectors of the same coins, (required, handed on), each (n + 2, 2)."""
+        from .transfer import zero_case_vectors
+        return zero_case_vectors(self.coin_table)
+
     def lookup(self, x: int) -> CoinMatrix:
         if x >= self.x_plus:
             return self.c_plus

@@ -124,11 +124,14 @@ def cross2(u: np.ndarray, v: np.ndarray) -> complex:
 
 
 def phase_fix(v: np.ndarray, tol: float = 1e-14) -> np.ndarray:
-    """Rotate a vector's global phase so its first non-negligible entry is real positive."""
-    a = np.abs(v.reshape(-1))
-    above = a > tol * a.max(initial=0.0)
-    i = above.argmax()
-    if not above[i]:  # the zero vector, or tol >= 1
+    """Rotate the global phase of each vector along v's last axis so its first
+    non-negligible entry is real positive. A vector with no such entry (the zero
+    vector, or tol >= 1) is kept, and v itself is returned if none has one."""
+    a = np.abs(v)
+    above = a > tol * a.max(axis=-1, keepdims=True, initial=0.0)
+    i = above.argmax(axis=-1)[..., None]
+    found = np.take_along_axis(above, i, -1)
+    if not found.any():
         return v
-    entry = v.flat[i]
-    return v * (entry.conjugate() / abs(entry))
+    entry = np.where(found, np.take_along_axis(v, i, -1), 1.0)
+    return np.where(found, v * (entry.conj() / np.hypot(entry.real, entry.imag)), v)

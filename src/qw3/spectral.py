@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import CoinField, CoinMatrix
+from .coin import CoinField
 from .evolution import StateVector, _steps, coin_stack
 from .linalg import TAU, Eig2, angle_dist, cross2, eig2_batch, norm, wrap_phase
-from .transfer import lambda0_angle, lift_rows, transfer_rows, zero_case_vectors
+from .transfer import lambda0_angle, lift_rows, transfer_rows
 
 log = logging.getLogger(__name__)
 
@@ -53,10 +53,11 @@ _BLOCK = 4096
 
 
 def _blocks(table: np.ndarray, el: np.ndarray):
-    """transfer_rows of table's columns in blocks of at most _BLOCK elements."""
+    """transfer_rows of table's columns in blocks of at most _BLOCK elements,
+    each with the index of its first column."""
     step = max(1, _BLOCK // max(len(el), 1))
     for a in range(0, table.shape[1], step):
-        yield transfer_rows(table[:, a : a + step], el)
+        yield a, transfer_rows(table[:, a : a + step], el)
 
 
 def _chain(field: CoinField, el: np.ndarray, v0, v1, x_from: int, x_to: int,
@@ -66,15 +67,23 @@ def _chain(field: CoinField, el: np.ndarray, v0, v1, x_from: int, x_to: int,
     v0, v1 are the components of n states at x_from, or at x_to when
     backward (T_x^-1 = adj(T_x)/det(T_x) carries x + 1 to x), el their n
     values e^{i lam}. Yields (v0, v1, zero) site after site, zero where the
-    site's transfer matrix could not be built.
+    site's transfer matrix could not be built. There the site's rank-one
+    constraint takes the step, for those phases only: forward, the state
+    beyond the site becomes the direction its coin hands on; backward, the
+    state at the site becomes the one it requires (field.constraint_table).
     """
-    cols = field.transfer_table[:, x_from - field.x_minus + 1 : x_to - field.x_minus + 1]
-    for (t00, t01, t10, t11), zero in _blocks(cols[:, ::-1].copy() if backward else cols, el):
+    lo, hi = x_from - field.x_minus + 1, x_to - field.x_minus + 1
+    cols, (required, handed) = field.transfer_table[:, lo:hi], field.constraint_table
+    turns = required[lo:hi][::-1] if backward else handed[lo:hi]
+    for a, ((t00, t01, t10, t11), zero) in _blocks(cols[:, ::-1].copy() if backward else cols, el):
         if backward:
             det = np.where(zero, 1.0, t00 * t11 - t01 * t10)
             t00, t01, t10, t11 = t11 / det, -t01 / det, -t10 / det, t00 / det
+        turn = zero.any()  # once per block: the scan and the secant rarely meet a break
         for k in range(len(zero)):
             v0, v1 = t00[k] * v0 + t01[k] * v1, t10[k] * v0 + t11[k] * v1
+            if turn:
+                v0, v1 = np.where(zero[k], turns[a + k, 0], v0), np.where(zero[k], turns[a + k, 1], v1)
             yield v0, v1, zero[k]
 
 
@@ -88,7 +97,7 @@ def asymptotic_spectrum(field: CoinField,
     decaying tails exist, and transfer_rows' mask.
     """
     out = []
-    for t, zero in _blocks(field.transfer_table[:, [0, -1]], el):
+    for _, (t, zero) in _blocks(field.transfer_table[:, [0, -1]], el):
         pairs = eig2_batch(*t)
         # |tr| > 2 with unit |det| already rules out a repeated eigenvalue; the
         # explicit check keeps a defective pair out of the arcs regardless
@@ -395,20 +404,6 @@ def find_roots(
 # --- adjudication of the degenerate phases ---------------------------------
 
 
-def _tail(coin: CoinMatrix, spectrum, k: int, at_right: bool) -> tuple[np.ndarray, complex]:
-    """Admissible direction of the reduced state at a window edge, and its rate
-    (0: compact; the zero vector admits no tail), from the coin beyond that
-    edge and its asymptotic_spectrum, read at phase k."""
-    pairs, in_lambda, zero = spectrum
-    if zero[k]:
-        return zero_case_vectors(coin)[0 if at_right else 1], 0j
-    if not in_lambda[k]:
-        return np.zeros(2, dtype=complex), 0j
-    vec, rate = ((pairs.v_less[k], pairs.zeta_less[k]) if at_right
-                 else (pairs.v_greater[k], pairs.zeta_greater[k]))
-    return vec / norm(vec), rate
-
-
 def _propagate(field: CoinField, el: np.ndarray, start: np.ndarray, x_from: int, x_to: int,
                backward: bool = False):
     """_chain from start, (n, 2): the values at sites x_from..x_to on a new first axis,
@@ -433,31 +428,53 @@ def _lands(v: np.ndarray, direction: np.ndarray) -> bool:
 def lambda0_adjudicate(field: CoinField,
                        diagnostics: list[dict] | None = None) -> list[EigenvalueRecord]:
     """Decide, for each degenerate phase, whether it carries an eigenvalue: there
-    rank-one constraints replace the transfer recursion wherever it degenerates
-    (_solutions). All phases go together: one asymptotic_spectrum call, the left
-    tail's direction pushed forward (F, which finds the window's breaks) and the
-    right tail's backward (B), and one _make_record call for each phase's leftmost
-    solution. A rejection is logged, and appended to diagnostics if given a list."""
+    rank-one constraints replace the transfer recursion wherever it degenerates.
+
+    All phases go together: one asymptotic_spectrum call, and one forward push
+    (F) of the left tail's direction through the window, which _chain hands on
+    at every break. So F holds every chain of every phase: the first from
+    x_minus to the first break, each later one from a break + 1, starting on
+    the direction that break hands on. A chain is viable iff F at its right end
+    lands on the direction required there: the next break's, or the right
+    tail's for the last. A phase's record is a compact bump just beyond the
+    window (c_plus's, then c_minus's), else its leftmost viable chain; one
+    _make_record call certifies them all. A rejection is logged, and appended
+    to diagnostics if given a list.
+    """
     lams = np.array(lambda0_set(field))
     if not lams.size:
         return []
     el, xm, xp = np.exp(1j * lams), field.x_minus, field.x_plus
-    tails = asymptotic_spectrum(field, el)
-    left, right = ([_tail(coin, tails[side], k, side == 1) for k in range(len(lams))]
-                   for side, coin in enumerate((field.c_minus, field.c_plus)))
-    f, breaks = _propagate(field, el, np.array([v for v, _ in left]), xm, xp)
-    b = _propagate(field, el, np.array([v for v, _ in right]), xm, xp, backward=True)[0]
-    cuts = [(xm + np.flatnonzero(sites)).tolist() for sites in breaks.T]
+    required, handed = field.constraint_table
+    (left, in_left, zero_left), (right, in_right, zero_right) = asymptotic_spectrum(field, el)
+
+    def edge(vecs, rates, in_lambda, zero, turn):
+        # a tail's unit direction at its window edge and its rate (0: compact, the
+        # coin's constraint direction); the zero vector where no tail decays
+        units = [v / norm(v) if ok else np.zeros(2, dtype=complex) for v, ok in zip(vecs, in_lambda)]
+        return np.where(zero[:, None], turn, units), np.where(in_lambda, rates, 0j)
+
+    start, rate_left = edge(left.v_greater, left.zeta_greater, in_left, zero_left, handed[0])
+    end, rate_right = edge(right.v_less, right.zeta_less, in_right, zero_right, required[-1])
+    f, breaks = _propagate(field, el, start, xm, xp)
     candidates, rates = [], []
     for k, lam in enumerate(lams.tolist()):
-        solutions = _solutions(field, el[k : k + 1], tails, k, cuts[k], f[:, k], b[:, k],
-                               left[k], right[k])
+        cuts = (xm + np.flatnonzero(breaks[:, k])).tolist()
+        chains = zip([xm] + [c + 1 for c in cuts], cuts + [xp],
+                     [required[c - xm + 1] for c in cuts] + [end[k]])
+        bumps = [(x, handed[i][None, :], 0j, 0j) for x, i, zero in
+                 ((xp + 1, -1, zero_right), (xm - 1, 0, zero_left))
+                 if zero[k] and _lands(handed[i], required[i])]
+        solutions = bumps[:1] or [
+            (a, f[a - xm : b - xm + 1, k], rate_left[k] if a == xm else 0j,
+             rate_right[k] if b == xp else 0j)
+            for a, b, direction in chains if _lands(f[b - xm, k], direction)]
         if len(solutions) > 1:
             log.info("degenerate phase lam=%.12f admits %d independent constraint-chain "
                      "solutions; building the leftmost", lam, len(solutions))
         if solutions:
             candidates.append((lam, *solutions[0]))
-            rates.append((left[k][1], right[k][1]))
+            rates.append((rate_left[k], rate_right[k]))
     records: list[EigenvalueRecord] = []
     outcomes = _make_record(field, candidates, rates) if candidates else []
     for (lam, _, _, *rates), outcome in zip(candidates, outcomes):
@@ -468,42 +485,3 @@ def lambda0_adjudicate(field: CoinField,
         else:
             records.append(EigenvalueRecord(lam, 0.0, *rates, *outcome, "lambda0-compact"))
     return records
-
-
-def _solutions(field: CoinField, el: np.ndarray, tails, k: int, cuts: list[int], f: np.ndarray,
-               b: np.ndarray, left: tuple, right: tuple) -> list[tuple]:
-    """The square-summable reduced states at degenerate phase k, leftmost
-    first, as (first site, values, tail rates of the window edges reached).
-
-    A compact bump in an asymptotic region: the direction its coin hands a
-    site lands on the one it requires. Else the window splits at cuts into
-    segments, each anchored on left's direction or the one its cut hands
-    over, and viable iff its chain lands on the direction required at its
-    right end (right's for the last). The first one's chain is f; the last
-    of several is viable iff b lands on its anchor, and only then pushed.
-    """
-    for coin, x, (_, _, zero) in ((field.c_plus, field.x_plus + 1, tails[1]),
-                                  (field.c_minus, field.x_minus - 1, tails[0])):
-        if zero[k]:
-            required, handed = zero_case_vectors(coin)
-            if _lands(handed, required):
-                return [(x, handed[None, :], 0j, 0j)]
-    xm, xp = field.x_minus, field.x_plus
-    if not (cuts[1:] or left[0].any() or right[0].any()):
-        return []  # no tail to anchor or land on, and no segment between two cuts
-    turns = [zero_case_vectors(field.lookup(c)) for c in cuts]  # (required at c, handed on)
-    segments = zip([xm] + [c + 1 for c in cuts], cuts + [xp],
-                   [left[0]] + [h for _, h in turns], [r for r, _ in turns] + [right[0]])
-    solutions = []
-    for i, (start, end, anchor, end_dir) in enumerate(segments):
-        if 0 < i == len(cuts):
-            viable = _lands(b[start - xm], anchor)
-            values = _propagate(field, el, anchor[None, :], start, end)[0][:, 0] if viable else None
-        else:
-            values = (f[: end - xm + 1] if i == 0 else
-                      _propagate(field, el, anchor[None, :], start, end)[0][:, 0])
-            viable = _lands(values[-1], end_dir)
-        if viable:
-            solutions.append((start, values, left[1] if i == 0 else 0j,
-                              right[1] if i == len(cuts) else 0j))
-    return solutions

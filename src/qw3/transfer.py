@@ -16,7 +16,7 @@ import numpy as np
 
 from .coin import CoinField, CoinMatrix
 from .evolution import coin_stack
-from .linalg import norm, phase_fix, wrap_phase
+from .linalg import phase_fix, wrap_phase
 
 log = logging.getLogger(__name__)
 
@@ -83,28 +83,35 @@ def lambda0_angle(coin: CoinMatrix) -> float | None:
     return float(wrap_phase(np.angle(coin.det_unit * np.conj(m[2, 2]) / m[0, 0])))
 
 
-def zero_case_vectors(coin: CoinMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint directions replacing the transfer step at a degenerate phase.
+def zero_case_vectors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint directions replacing the transfer step at a degenerate phase,
+    for a coin matrix or a stack of them, (..., 3, 3).
 
     When the transfer matrix cannot be built at a site, the reduced state
     there must be parallel to `left` and the state one site to the right
     parallel to `right`:
         left  ~ [a33 conj(a32), conj(a11) a21]
         right ~ [conj(a11) a12, a33 conj(a23)]
-    Each is unit-normalized with its first nonzero entry made real positive;
-    the zero vector is returned when both components vanish.
+    Each, (..., 2), is unit-normalized with its first nonzero entry made real
+    positive; the zero vector stands where both components vanish. Products
+    and norms take numpy's scalar arithmetic, so a coin's bits do not depend
+    on the stack it comes in.
     """
-    m = coin.mat
+    def product(p, q):
+        out = np.empty(p.shape, dtype=complex)
+        out.real = p.real * q.real - p.imag * q.imag
+        out.imag = p.real * q.imag + p.imag * q.real
+        return out
 
-    def _norm(v: np.ndarray) -> np.ndarray:
-        n = norm(v)
-        if n <= 1e-300:
-            return np.zeros(2, dtype=complex)
-        return phase_fix(v / n)
+    def unit(p, q):
+        v = np.stack([p, q], axis=-1)
+        n = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]  # norm's dot
+        small = n <= 1e-300
+        return np.where(small, 0j, phase_fix(v / np.where(small, 1.0, n)))
 
-    left = np.array([m[2, 2] * np.conj(m[2, 1]), np.conj(m[0, 0]) * m[1, 0]], dtype=complex)
-    right = np.array([np.conj(m[0, 0]) * m[0, 1], m[2, 2] * np.conj(m[1, 2])], dtype=complex)
-    return _norm(left), _norm(right)
+    a11, a33 = mat[..., 0, 0], mat[..., 2, 2]
+    return (unit(product(a33, mat[..., 2, 1].conj()), product(a11.conj(), mat[..., 1, 0])),
+            unit(product(a11.conj(), mat[..., 0, 1]), product(a33, mat[..., 1, 2].conj())))
 
 
 def lift_rows(field: CoinField, xs: np.ndarray, grid: np.ndarray, el) -> np.ndarray:

@@ -136,7 +136,10 @@ def test_phase_fix_first_entry_real():
 
 
 def loop_phase_fix(v, tol=1e-14):
-    """phase_fix as it walked v entry by entry."""
+    """phase_fix as it walked each vector (along the last axis) entry by entry."""
+    if v.ndim > 1:
+        out = np.array([loop_phase_fix(row, tol) for row in v.reshape(-1, v.shape[-1])])
+        return out.reshape(v.shape)
     mx = float(np.abs(v).max(initial=0.0))
     if mx == 0.0:
         return v

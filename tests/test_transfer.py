@@ -173,7 +173,7 @@ def test_lambda0_angle_none_for_generic_coin(rng):
 def test_zero_case_vectors_fourier_defect():
     # the defect coin's constraint directions are along [w^2, 1] and [w, 1]
     coin = phase_scale(make_fourier(), np.pi / 12)
-    left, right = zero_case_vectors(coin)
+    left, right = zero_case_vectors(coin.mat)
     assert abs(np.linalg.norm(left) - 1) < 1e-14
     assert abs(np.linalg.norm(right) - 1) < 1e-14
     assert abs(cross2(left, np.array([OMEGA**2, 1.0]))) < 1e-12
@@ -186,7 +186,7 @@ def test_zero_case_vectors_zero_vector_allowed():
     coin = CoinMatrix(
         np.array([[0, 1, 0], [s, 0, s], [-s, 0, s]], dtype=complex)
     )
-    left, _ = zero_case_vectors(coin)
+    left, _ = zero_case_vectors(coin.mat)
     assert np.linalg.norm(left) == 0.0
 
 
@@ -206,7 +206,7 @@ def ratio_identity(coin: CoinMatrix) -> bool:
 def bump_lands(coin: CoinMatrix) -> bool:
     """The landing rule for a compact bump: the direction the coin hands
     over to the next site lands on the one it requires there."""
-    required, handed = zero_case_vectors(coin)
+    required, handed = zero_case_vectors(coin.mat)
     return _lands(handed, required)
 
 
