@@ -97,13 +97,13 @@ def _record_json(r: EigenvalueRecord) -> dict:
     }
 
 
-def _check_grid(grid: int, least: int = 1) -> None:
-    if grid < least:
-        raise ConfigError(f"--grid must be at least {least}, got {grid}")
+def _at_least(flag: str, value, least) -> None:
+    if not value >= least:
+        raise ConfigError(f"{flag} must be at least {least}, got {value}")
 
 
 def _all_records(field: CoinField, grid: int, refine_tol: float):
-    _check_grid(grid, least=1000)  # not find_roots' ValueError: that exits 3
+    _at_least("--grid", grid, 1000)  # not find_roots' ValueError: that exits 3
     if not refine_tol > 0:
         raise ConfigError(f"--refine-tol must be positive, got {refine_tol}")
     scan = find_roots(field, grid_n=grid, refine_tol=refine_tol)
@@ -123,7 +123,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    _check_grid(args.grid)
+    _at_least("--grid", args.grid, 1)
     field = _resolve_field(args)
     lams = np.arange(args.grid) * (TAU / args.grid)
     values, in_lambda, near = chi_batch(field, lams)
@@ -194,6 +194,8 @@ def _initial_state(args: argparse.Namespace, half_width: int) -> StateVector:
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    _at_least("--t", args.t, 0)
+    _at_least("--window", 1 if args.window is None else args.window, 1)
     field = _resolve_field(args)
     half_width = args.window if args.window is not None else args.t + 6
     psi0 = _initial_state(args, half_width)
@@ -216,7 +218,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    _check_grid(args.grid)  # for every figure, though only the scans read it
+    _at_least("--grid", args.grid, 1)  # for every figure, though only the scans read it
     model = "one-defect" if args.figure in ("fig1", "fig2") else "two-phase"
     vars(args).update(config=None, coin="fourier", theta=THETA_PRESETS[args.theta_index],
                       model=model)

@@ -130,10 +130,12 @@ class CoinField:
         return transfer_coefficients((self.c_minus, *self.defects, self.c_plus))
 
     @cached_property
-    def constraint_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """zero_case_vectors of the same coins, (required, handed on), each (n + 2, 2)."""
+    def constraint_table(self) -> np.ndarray:
+        """zero_case_vectors of the same coins: (required, handed on), (2, n + 2, 2)."""
         from .transfer import zero_case_vectors
-        return zero_case_vectors(self.coin_table)
+        table = np.array(zero_case_vectors(self.coin_table))
+        table.setflags(write=False)
+        return table
 
     def lookup(self, x: int) -> CoinMatrix:
         if x >= self.x_plus:

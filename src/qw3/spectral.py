@@ -53,8 +53,7 @@ _BLOCK = 4096
 
 
 def _blocks(table: np.ndarray, el: np.ndarray):
-    """transfer_rows of table's columns in blocks of at most _BLOCK elements,
-    each with the index of its first column."""
+    """(first column, transfer_rows) of table's columns in blocks of at most _BLOCK elements."""
     step = max(1, _BLOCK // max(len(el), 1))
     for a in range(0, table.shape[1], step):
         yield a, transfer_rows(table[:, a : a + step], el)
@@ -83,7 +82,7 @@ def _chain(field: CoinField, el: np.ndarray, v0, v1, x_from: int, x_to: int,
         for k in range(len(zero)):
             v0, v1 = t00[k] * v0 + t01[k] * v1, t10[k] * v0 + t11[k] * v1
             if turn:
-                v0, v1 = np.where(zero[k], turns[a + k, 0], v0), np.where(zero[k], turns[a + k, 1], v1)
+                v0, v1 = (np.where(zero[k], w, v) for w, v in zip(turns[a + k], (v0, v1)))
             yield v0, v1, zero[k]
 
 
@@ -356,7 +355,7 @@ def find_roots(
     """
     if grid_n < 1000:
         raise ValueError("grid_n must be at least 1000")
-    if refine_tol <= 0:
+    if not refine_tol > 0:  # NaN too: no secant run could converge
         raise ValueError("refine_tol must be positive")
     lams = np.arange(grid_n) * (TAU / grid_n)
     values = chi_batch(field, lams)[0]
@@ -430,28 +429,25 @@ def lambda0_adjudicate(field: CoinField,
     """Decide, for each degenerate phase, whether it carries an eigenvalue: there
     rank-one constraints replace the transfer recursion wherever it degenerates.
 
-    All phases go together: one asymptotic_spectrum call, and one forward push
-    (F) of the left tail's direction through the window, which _chain hands on
-    at every break. So F holds every chain of every phase: the first from
-    x_minus to the first break, each later one from a break + 1, starting on
-    the direction that break hands on. A chain is viable iff F at its right end
-    lands on the direction required there: the next break's, or the right
-    tail's for the last. A phase's record is a compact bump just beyond the
-    window (c_plus's, then c_minus's), else its leftmost viable chain; one
-    _make_record call certifies them all. A rejection is logged, and appended
-    to diagnostics if given a list.
+    One forward push (F) of the left tail's direction holds every chain of every
+    phase, as _chain hands on at the breaks: the first ends at the first break,
+    each later one starts a site past a break. A chain is viable iff F at its end
+    lands on the direction required there (the right tail's, for the last). The
+    record is a compact bump beyond the window (c_plus's, then c_minus's), else
+    the leftmost viable chain; one _make_record call certifies them all. A
+    rejection is logged, and appended to diagnostics if given a list.
     """
     lams = np.array(lambda0_set(field))
     if not lams.size:
         return []
-    el, xm, xp = np.exp(1j * lams), field.x_minus, field.x_plus
+    el, xm, xp, n = np.exp(1j * lams), field.x_minus, field.x_plus, len(field.defects)
     required, handed = field.constraint_table
     (left, in_left, zero_left), (right, in_right, zero_right) = asymptotic_spectrum(field, el)
 
     def edge(vecs, rates, in_lambda, zero, turn):
         # a tail's unit direction at its window edge and its rate (0: compact, the
         # coin's constraint direction); the zero vector where no tail decays
-        units = [v / norm(v) if ok else np.zeros(2, dtype=complex) for v, ok in zip(vecs, in_lambda)]
+        units = [v / norm(v) if ok else np.zeros(2, complex) for v, ok in zip(vecs, in_lambda)]
         return np.where(zero[:, None], turn, units), np.where(in_lambda, rates, 0j)
 
     start, rate_left = edge(left.v_greater, left.zeta_greater, in_left, zero_left, handed[0])
@@ -459,16 +455,14 @@ def lambda0_adjudicate(field: CoinField,
     f, breaks = _propagate(field, el, start, xm, xp)
     candidates, rates = [], []
     for k, lam in enumerate(lams.tolist()):
-        cuts = (xm + np.flatnonzero(breaks[:, k])).tolist()
-        chains = zip([xm] + [c + 1 for c in cuts], cuts + [xp],
-                     [required[c - xm + 1] for c in cuts] + [end[k]])
+        cuts = np.flatnonzero(breaks[:, k]).tolist()  # chains a..b, in sites past x_minus
         bumps = [(x, handed[i][None, :], 0j, 0j) for x, i, zero in
                  ((xp + 1, -1, zero_right), (xm - 1, 0, zero_left))
                  if zero[k] and _lands(handed[i], required[i])]
         solutions = bumps[:1] or [
-            (a, f[a - xm : b - xm + 1, k], rate_left[k] if a == xm else 0j,
-             rate_right[k] if b == xp else 0j)
-            for a, b, direction in chains if _lands(f[b - xm, k], direction)]
+            (xm + a, f[a : b + 1, k], 0j if a else rate_left[k], 0j if b < n else rate_right[k])
+            for a, b in zip([0] + [c + 1 for c in cuts], cuts + [n])
+            if _lands(f[b, k], required[b + 1] if b < n else end[k])]
         if len(solutions) > 1:
             log.info("degenerate phase lam=%.12f admits %d independent constraint-chain "
                      "solutions; building the leftmost", lam, len(solutions))

@@ -93,25 +93,19 @@ def zero_case_vectors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         left  ~ [a33 conj(a32), conj(a11) a21]
         right ~ [conj(a11) a12, a33 conj(a23)]
     Each, (..., 2), is unit-normalized with its first nonzero entry made real
-    positive; the zero vector stands where both components vanish. Products
-    and norms take numpy's scalar arithmetic, so a coin's bits do not depend
-    on the stack it comes in.
+    positive; the zero vector stands where both components vanish. A coin's
+    bits do not depend on the stack it comes in: the products are numpy's
+    scalar ones (no fused multiply-add), the norm is norm's dot.
     """
-    def product(p, q):
-        out = np.empty(p.shape, dtype=complex)
-        out.real = p.real * q.real - p.imag * q.imag
-        out.imag = p.real * q.imag + p.imag * q.real
-        return out
-
-    def unit(p, q):
-        v = np.stack([p, q], axis=-1)
-        n = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]  # norm's dot
-        small = n <= 1e-300
-        return np.where(small, 0j, phase_fix(v / np.where(small, 1.0, n)))
-
-    a11, a33 = mat[..., 0, 0], mat[..., 2, 2]
-    return (unit(product(a33, mat[..., 2, 1].conj()), product(a11.conj(), mat[..., 1, 0])),
-            unit(product(a11.conj(), mat[..., 0, 1]), product(a33, mat[..., 1, 2].conj())))
+    a11, a33 = mat[..., 0, 0].conj(), mat[..., 2, 2]
+    p = np.stack([a33, a11, a11, a33], axis=-1)
+    q = np.stack([mat[..., 2, 1].conj(), mat[..., 1, 0], mat[..., 0, 1], mat[..., 1, 2].conj()], -1)
+    v = np.stack([p.real * q.real - p.imag * q.imag, p.real * q.imag + p.imag * q.real], axis=-1)
+    v = v.view(complex).reshape(*p.shape[:-1], 2, 2)  # (..., [left, right], 2)
+    n = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
+    small = n <= 1e-300
+    v = np.where(small, 0j, phase_fix(v / np.where(small, 1.0, n)))
+    return v[..., 0, :], v[..., 1, :]
 
 
 def lift_rows(field: CoinField, xs: np.ndarray, grid: np.ndarray, el) -> np.ndarray:

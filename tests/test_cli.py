@@ -201,6 +201,17 @@ def test_evolve_window_too_small_exit3(tmp_path, capsys):
     assert "half-width" in capsys.readouterr().err
 
 
+def test_evolve_rejects_negative_time_and_empty_window(tmp_path, capsys):
+    # configuration errors (exit 2), unlike a window too small for the run (exit 3)
+    out = tmp_path / "e.csv"
+    base = ["evolve", "--model", "homogeneous", "--out", str(out)]
+    assert main(base + ["--t", "-1"]) == 2
+    assert "configuration error: --t must be at least 0, got -1" in capsys.readouterr().err
+    assert main(base + ["--t", "3", "--window", "0"]) == 2
+    assert "configuration error: --window must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_and_errors(tmp_path, capsys):
     cfg = tmp_path / "field.json"
     cfg.write_text(json.dumps({

@@ -183,6 +183,14 @@ def test_find_roots_validates_arguments():
         find_roots(field, refine_tol=0.0)
 
 
+def test_find_roots_rejects_a_nan_tolerance():
+    # with a NaN tolerance no secant run ends, so all three roots would vanish
+    # without a diagnostic
+    assert len(find_roots(preset_field("one-defect", 0)).records) == 3
+    with pytest.raises(ValueError, match="refine_tol"):
+        find_roots(preset_field("one-defect", 0), refine_tol=float("nan"))
+
+
 def test_lambda0_sets_fourier_models():
     # one coin contributes the angle of conj(w) e^{i Delta}, the phase-shifted
     # one adds theta; one-defect and two-phase fields share the same pair
