@@ -12,9 +12,10 @@ from qw3.coin import (
     phase_scale,
 )
 from qw3.evolution import apply_u
-from qw3.linalg import TAU
+from qw3.linalg import TAU, angle_dist
 from qw3.spectral import (
     TR_TOL,
+    _propagate,
     asymptotic_spectrum,
     build_eigenvector,
     chi_batch,
@@ -23,7 +24,7 @@ from qw3.spectral import (
     lambda0_set,
     operator_residual,
 )
-from qw3.transfer import lambda0_angle
+from qw3.transfer import lambda0_angle, zero_case_vectors
 
 from conftest import (
     THETAS,
@@ -351,6 +352,21 @@ def compact_chain_field():
     return CoinField(make_fourier(), make_fourier(), 0, 1, (CoinMatrix(dressed),))
 
 
+def first_chain_field():
+    """An on-arc bulk at lam = 0 (Fourier times i) with a dressed Fourier
+    D = P1 F P2 before a Grover site. At Grover's degenerate phase 0, D carries
+    the left tail's growing direction onto the one Grover requires, so the
+    eigenvector is a geometric left tail that ends at the break; the direction
+    Grover hands on lands on no right tail."""
+    a, b, c, d = (4.438801706953552, 1.5895826446822559, -0.52093826782183,
+                  0.0007723091275153356)
+    f = make_fourier().mat
+    dressed = np.diag(np.exp(1j * np.array([a, b, 0.0]))) @ f @ np.diag(
+        np.exp(1j * np.array([c, d, 0.0])))
+    bulk = phase_scale(make_fourier(), np.pi / 2)
+    return CoinField(bulk, bulk, -1, 1, (CoinMatrix(dressed), make_grover()))
+
+
 def test_lambda0_compact_chain_through_nondegenerate_defect():
     field = compact_chain_field()
     records = lambda0_adjudicate(field)
@@ -368,6 +384,48 @@ def test_lambda0_compact_chain_through_nondegenerate_defect():
     brute = _dense_point_spectrum(field, 60)
     assert len(brute) == 2
     assert max(abs(a - b) for a, b in zip(mine, brute)) < 1e-9
+
+
+def test_the_site_loop_takes_the_rank_one_step_at_a_break():
+    # a Grover site at 0 in a Fourier window: at Grover's degenerate phase 0 the
+    # state past it is the direction it hands on, pushed forward, and the state
+    # at it the direction it requires, pushed backward; the batch's other phase
+    # meets no break and takes the transfer product
+    fourier, grover = make_fourier(), make_grover()
+    field = CoinField(fourier, fourier, -2, 2, (fourier, fourier, grover, fourier))
+    lams = np.array([0.0, 1.0])
+    start = np.array([[1.0, 0.5j], [0.3, 1.0]], dtype=complex)
+    f, breaks = _propagate(field, np.exp(1j * lams), start, -2, 2)
+    b, back_breaks = _propagate(field, np.exp(1j * lams), start, -2, 2, backward=True)
+    assert breaks.tolist() == [[False, False], [False, False], [True, False], [False, False]]
+    assert back_breaks.tolist() == breaks[::-1].tolist()
+    required, handed = zero_case_vectors(grover.mat)
+    assert f[3, 0].tobytes() == handed.tobytes()  # site 1
+    assert b[2, 0].tobytes() == required.tobytes()  # site 0
+    v = start[1]
+    for x in range(-2, 2):
+        v = transfer_matrix(field.lookup(x), lams[1]) @ v
+    assert np.abs(f[-1, 1] - v).max() <= 1e-12 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("image", [False, True], ids=["first-chain", "last-chain"])
+def test_lambda0_chain_between_a_geometric_tail_and_a_break(image):
+    # the first chain (left tail to the break) carries the phase's only
+    # eigenvector; in the parity image it is the last (the break to the right tail)
+    field = mirrored(first_chain_field()) if image else first_chain_field()
+    records = lambda0_adjudicate(field)
+    assert len(records) == 1
+    r = records[0]
+    assert r.source == "lambda0-compact"
+    assert abs(np.exp(1j * r.lam) - 1.0) < 1e-12
+    tail, cut = (r.zeta_right, r.zeta_left) if image else (r.zeta_left, r.zeta_right)
+    assert cut == 0 and 0 < abs(tail) != 1
+    assert (r.eigvec.lo if image else r.eigvec.hi) == 0
+    assert r.op_residual <= 1e-8
+    mine = [r.lam] + [s.lam for s in find_roots(field).records]
+    brute = _dense_point_spectrum(field, 60)
+    assert len(mine) == len(brute) == 7
+    assert all(min(angle_dist(a, b) for b in brute) < 1e-9 for a in mine)
 
 
 SWAP_13 = np.eye(3)[[2, 1, 0]]
@@ -398,6 +456,7 @@ def _arc_edge_field():
     pytest.param(CoinField(make_fourier(), make_fourier(), -1, 1,
                            (make_grover(), make_grover())), id="interior-chain"),
     pytest.param(compact_chain_field(), id="compact-chain"),
+    pytest.param(first_chain_field(), id="first-chain"),
     pytest.param(field_two_phase(make_fourier(), make_grover()), id="compact-bump"),
     # 8 roots, all in the dense spectrum; in the mirror the grid minimum of
     # 1.929675 falls on the arc-edge sample next to an off-arc one

@@ -12,6 +12,11 @@ prints one digest per group of fields, with the counts behind it:
   grover     13 fields with degenerate phases: one-defect and two-phase
              Grover at the four theta, a Fourier bulk with a Grover defect
              at the four theta, and homogeneous Grover
+  chains     12 fields whose degenerate-phase records come from constraint
+             chains: an interior compact chain, the compact bump on either
+             side, a chain between geometric tails, a compact chain through
+             a dressed Fourier defect, a chain from a geometric left tail to
+             a Grover break, and the parity image of each
 
 A digest covers, per field: every find_roots and lambda0_adjudicate record
 (lambda, abs chi, both zetas, op_residual, eigenvector window and
@@ -33,6 +38,50 @@ GRID = 4000
 WIDE_SEEDS = (3, 5, 101)
 
 
+def _dressed_fourier(a: float, b: float, c: float, d: float):
+    """P1 F P2 with diagonal phases P1 = diag(e^{ia}, e^{ib}, 1), P2 = diag(e^{ic}, e^{id}, 1)."""
+    import numpy as np
+    from qw3.coin import CoinMatrix, make_fourier
+
+    p1, p2 = (np.diag(np.exp(1j * np.array([u, v, 0.0]))) for u, v in ((a, b), (c, d)))
+    return CoinMatrix(p1 @ make_fourier().mat @ p2)
+
+
+def _mirrored(field):
+    """The parity image C'(y) = S C(-y) S, S swapping components 1 and 3."""
+    import numpy as np
+    from qw3.coin import CoinField, CoinMatrix
+
+    swap13 = np.eye(3)[[2, 1, 0]]
+
+    def swap(coin):
+        return CoinMatrix(swap13 @ coin.mat @ swap13)
+
+    lo, hi = min(0, 1 - field.x_plus), 1 - field.x_minus
+    return CoinField(swap(field.c_plus), swap(field.c_minus), lo, hi,
+                     tuple(swap(field.lookup(-y)) for y in range(lo, hi)))
+
+
+def _chain_fields():
+    import numpy as np
+    from qw3.coin import CoinField, field_two_phase, make_fourier, make_grover, phase_scale
+
+    fourier, grover = make_fourier(), make_grover()
+    on_arc = phase_scale(fourier, np.pi / 2)  # on its arcs at Grover's phase 0
+    fields = [
+        CoinField(fourier, fourier, -1, 1, (grover, grover)),
+        field_two_phase(fourier, grover),
+        field_two_phase(grover, fourier),
+        CoinField(on_arc, on_arc, -1, 1, (grover, grover)),
+        CoinField(fourier, fourier, 0, 1, (_dressed_fourier(
+            5.858085580270765, -1.6891355485845025, 5.606373191873271, -0.7964822673645127),)),
+        CoinField(on_arc, on_arc, -1, 1, (_dressed_fourier(
+            4.438801706953552, 1.5895826446822559, -0.52093826782183, 0.0007723091275153356),
+            grover)),
+    ]
+    return fields + [_mirrored(f) for f in fields]
+
+
 def _groups():
     from qw3 import (field_homogeneous, field_one_defect, field_two_phase, make_fourier,
                      make_grover, phase_scale)
@@ -46,6 +95,7 @@ def _groups():
               for build in (field_one_defect, field_two_phase) for t in THETAS]
     fields += [field_one_defect(fourier, phase_scale(grover, t)) for t in THETAS]
     yield "grover", fields + [field_homogeneous(grover)]
+    yield "chains", _chain_fields()
 
 
 def _record_bytes(r) -> bytes:
