@@ -178,8 +178,9 @@ def _parse_coin(node: object, where: str) -> CoinMatrix:
     if "preset" in node:
         name = node["preset"]
         if name not in PRESETS:
-            raise ConfigError(f"{where}: unknown preset {name!r} "
-                              f"(expected one of {sorted(PRESETS)})")
+            raise ConfigError(
+                f"{where}: unknown preset {name!r} (expected one of {sorted(PRESETS)})"
+            )
         coin = PRESETS[name]()
         phase = node.get("phase", 0.0)
         # bool is an int subclass, but a JSON true/false is not a phase
@@ -191,10 +192,13 @@ def _parse_coin(node: object, where: str) -> CoinMatrix:
     if "rows" in node:
         rows = node["rows"]
         try:
-            arr = np.array([[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex)
+            arr = np.array(
+                [[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex
+            )
         except (TypeError, ValueError, IndexError) as exc:
-            raise ConfigError(f"{where}: rows must be a 3x3 nesting of [re, im] pairs "
-                              f"({exc})") from None
+            raise ConfigError(
+                f"{where}: rows must be a 3x3 nesting of [re, im] pairs ({exc})"
+            ) from None
         if arr.shape != (3, 3):
             raise ConfigError(f"{where}: rows must be 3x3, got {arr.shape}")
         try:
@@ -228,16 +232,19 @@ def parse_field_config(source: str | dict) -> CoinField:
 
     model = doc.get("model")
     if model == "one-defect":
-        return field_one_defect(_parse_coin(doc.get("bulk"), "bulk"),
-                                _parse_coin(doc.get("origin"), "origin"))
+        return field_one_defect(
+            _parse_coin(doc.get("bulk"), "bulk"), _parse_coin(doc.get("origin"), "origin")
+        )
     if model == "two-phase":
-        return field_two_phase(_parse_coin(doc.get("left"), "left"),
-                               _parse_coin(doc.get("right"), "right"))
+        return field_two_phase(
+            _parse_coin(doc.get("left"), "left"), _parse_coin(doc.get("right"), "right")
+        )
     if model == "homogeneous":
         return field_homogeneous(_parse_coin(doc.get("coin"), "coin"))
     if model is not None:
-        raise ConfigError(f"unknown model {model!r} "
-                          "(expected one-defect, two-phase or homogeneous)")
+        raise ConfigError(
+            f"unknown model {model!r} (expected one-defect, two-phase or homogeneous)"
+        )
 
     for key in ("c_minus", "c_plus", "x_minus", "x_plus", "defects"):
         if key not in doc:
@@ -247,9 +254,16 @@ def parse_field_config(source: str | dict) -> CoinField:
         raise ConfigError("x_minus and x_plus must be integers")
     if not isinstance(doc["defects"], list):
         raise ConfigError("defects must be a list of coins")
-    defects = tuple(_parse_coin(node, f"defects[{i}]") for i, node in enumerate(doc["defects"]))
-    return CoinField(_parse_coin(doc["c_minus"], "c_minus"), _parse_coin(doc["c_plus"], "c_plus"),
-                     doc["x_minus"], doc["x_plus"], defects)
+    defects = tuple(
+        _parse_coin(node, f"defects[{i}]") for i, node in enumerate(doc["defects"])
+    )
+    return CoinField(
+        _parse_coin(doc["c_minus"], "c_minus"),
+        _parse_coin(doc["c_plus"], "c_plus"),
+        doc["x_minus"],
+        doc["x_plus"],
+        defects,
+    )
 
 
 def _coin_to_rows(coin: CoinMatrix) -> list:
