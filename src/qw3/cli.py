@@ -195,7 +195,8 @@ def _initial_state(args: argparse.Namespace, half_width: int) -> StateVector:
 def cmd_evolve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     _at_least("--t", args.t, 0)
-    _at_least("--window", 1 if args.window is None else args.window, 1)
+    if args.window is not None:
+        _at_least("--window", args.window, 1)
     field = _resolve_field(args)
     half_width = args.window if args.window is not None else args.t + 6
     psi0 = _initial_state(args, half_width)

@@ -129,9 +129,8 @@ def phase_fix(v: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     vector, or tol >= 1) is kept, and v itself is returned if none has one."""
     a = np.abs(v)
     above = a > tol * a.max(axis=-1, keepdims=True, initial=0.0)
-    i = above.argmax(axis=-1)[..., None]
-    found = np.take_along_axis(above, i, -1)
+    found = above.any(axis=-1, keepdims=True)
     if not found.any():
         return v
-    entry = np.where(found, np.take_along_axis(v, i, -1), 1.0)
+    entry = np.where(found, np.take_along_axis(v, above.argmax(axis=-1)[..., None], -1), 1.0)
     return np.where(found, v * (entry.conj() / np.hypot(entry.real, entry.imag)), v)

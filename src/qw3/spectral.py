@@ -78,11 +78,12 @@ def _chain(field: CoinField, el: np.ndarray, v0, v1, x_from: int, x_to: int,
         if backward:
             det = np.where(zero, 1.0, t00 * t11 - t01 * t10)
             t00, t01, t10, t11 = t11 / det, -t01 / det, -t10 / det, t00 / det
-        turn = zero.any()  # once per block: the scan and the secant rarely meet a break
+        breaks = zero.any(axis=1).tolist()  # once per block, not a mask test per site
         for k in range(len(zero)):
             v0, v1 = t00[k] * v0 + t01[k] * v1, t10[k] * v0 + t11[k] * v1
-            if turn:
-                v0, v1 = (np.where(zero[k], w, v) for w, v in zip(turns[a + k], (v0, v1)))
+            if breaks[k]:
+                w = turns[a + k]
+                v0, v1 = np.where(zero[k], w[0], v0), np.where(zero[k], w[1], v1)
             yield v0, v1, zero[k]
 
 

@@ -95,10 +95,10 @@ def zero_case_vectors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each, (..., 2), is unit-normalized with its first nonzero entry made real
     positive; the zero vector stands where both components vanish. A coin's
     bits do not depend on the stack it comes in: the products are numpy's
-    scalar ones (no fused multiply-add), the norm is norm's dot.
+    scalar ones (no fused multiply-add), the norms linalg.norm's dot products.
     """
-    a11, a33 = mat[..., 0, 0].conj(), mat[..., 2, 2]
-    p = np.stack([a33, a11, a11, a33], axis=-1)
+    ca11, a33 = mat[..., 0, 0].conj(), mat[..., 2, 2]
+    p = np.stack([a33, ca11, ca11, a33], axis=-1)
     q = np.stack([mat[..., 2, 1].conj(), mat[..., 1, 0], mat[..., 0, 1], mat[..., 1, 2].conj()], -1)
     v = np.stack([p.real * q.real - p.imag * q.imag, p.real * q.imag + p.imag * q.real], axis=-1)
     v = v.view(complex).reshape(*p.shape[:-1], 2, 2)  # (..., [left, right], 2)
