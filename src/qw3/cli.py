@@ -113,9 +113,10 @@ def _all_records(field: CoinField, grid: int, refine_tol: float):
 
 def cmd_validate(args: argparse.Namespace) -> int:
     field = _resolve_field(args)
+    # adding 0.0 turns -0.0 into 0.0, so the bytes compare as array_equal does
+    coins = len({m.tobytes() for m in field.coin_table + 0.0})
     print(f"coin field ok: window [{field.x_minus}, {field.x_plus}), "
-          f"{len(field.defects)} defect site(s), "
-          f"{len(field.distinct_coins())} distinct coin(s)")
+          f"{len(field.defects)} defect site(s), {coins} distinct coin(s)")
     angles = lambda0_set(field)
     print("degenerate phases: " + (", ".join(_fmt(a) for a in angles) or "none"))
     return EXIT_OK
@@ -181,9 +182,14 @@ def _initial_state(args: argparse.Namespace, half_width: int) -> StateVector:
     if args.psi0 is not None or args.psi0_site:
         comps = (psi.amps[-psi.lo].copy() if args.psi0 is None  # the default spinor
                  else np.array([complex(*args.psi0[k : k + 2]) for k in (0, 2, 4)]))
-        n = np.linalg.norm(comps)
-        if n == 0:
+        if not np.isfinite(comps.view(float)).all():
+            raise ConfigError("--psi0 entries must be finite")
+        big = np.abs(comps.view(float)).max()
+        if big == 0:
             raise ConfigError("--psi0 must be a nonzero spinor")
+        # scaled exactly, by a power of two near 1/big, so the norm cannot overflow
+        comps = np.ldexp(comps.view(float), -np.frexp(big)[1]).view(complex)
+        n = np.linalg.norm(comps)
         if not psi.lo <= args.psi0_site <= psi.hi:
             raise ConfigError(f"--psi0-site {args.psi0_site} outside the window "
                               f"[{psi.lo}, {psi.hi}]")

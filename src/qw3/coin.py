@@ -59,11 +59,6 @@ class CoinMatrix:
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "det_phase", float(wrap_phase(np.angle(det))))
 
-    @property
-    def det_unit(self) -> complex:
-        """The unit-modulus determinant e^{i Delta}."""
-        return np.exp(1j * self.det_phase)
-
 
 def make_fourier() -> CoinMatrix:
     """The 3-point discrete Fourier transform coin, entries omega^{jk}/sqrt(3)."""
@@ -84,6 +79,8 @@ PRESETS = {"fourier": make_fourier, "grover": make_grover}
 
 def phase_scale(coin: CoinMatrix, theta: float) -> CoinMatrix:
     """Multiply every entry by e^{i theta}; the determinant phase shifts by 3 theta."""
+    if not np.isfinite(theta):
+        raise ConfigError(f"phase must be finite, got {theta}")
     return CoinMatrix(np.exp(1j * theta) * coin.mat)
 
 
@@ -127,7 +124,8 @@ class CoinField:
     def transfer_table(self) -> np.ndarray:
         """transfer_coefficients of the same coins, column by column."""
         from .transfer import transfer_coefficients  # transfer imports this module
-        return transfer_coefficients((self.c_minus, *self.defects, self.c_plus))
+        return transfer_coefficients(
+            self.coin_table, [c.det_phase for c in (self.c_minus, *self.defects, self.c_plus)])
 
     @cached_property
     def constraint_table(self) -> np.ndarray:
@@ -143,14 +141,6 @@ class CoinField:
         if x >= self.x_minus:
             return self.defects[x - self.x_minus]
         return self.c_minus
-
-    def distinct_coins(self) -> list[CoinMatrix]:
-        """All distinct coins in the field (exact entrywise comparison), first seen first."""
-        # adding 0.0 turns -0.0 into 0.0, so the bytes compare as array_equal does
-        out: dict[bytes, CoinMatrix] = {}
-        for c in (self.c_minus, self.c_plus, *self.defects):
-            out.setdefault((c.mat + 0.0).tobytes(), c)
-        return list(out.values())
 
 
 def field_homogeneous(coin: CoinMatrix) -> CoinField:

@@ -21,7 +21,7 @@ import numpy as np
 from .coin import CoinField
 from .evolution import StateVector, _steps, coin_stack
 from .linalg import TAU, Eig2, angle_dist, cross2, eig2_batch, norm, wrap_phase
-from .transfer import lambda0_angle, lift_rows, transfer_rows
+from .transfer import MODULUS_TOL, lift_rows, transfer_rows
 
 log = logging.getLogger(__name__)
 
@@ -108,12 +108,23 @@ def asymptotic_spectrum(field: CoinField,
 
 
 def lambda0_set(field: CoinField) -> list[float]:
-    """Sorted degenerate phases of all distinct coins (deduplicated)."""
+    """Sorted degenerate phases of the field's coins, read off transfer_table:
+    e^{i lam} = e^{i Delta} conj(a33) / a11 wherever |a11| = |a33| (to
+    MODULUS_TOL). Phases within 1e-12 of one another count once, as the first
+    seen of c_minus, c_plus, then the defects."""
+    n = len(field.defects)
+    order = np.array([0, n + 1, *range(1, n + 1)])
+    diag = field.coin_table[order][:, [0, 2], [0, 2]]  # a11, a33
+    mod = np.hypot(diag.real, diag.imag)  # abs(), bit for bit, unlike np.abs
+    level = np.abs(mod[:, 0] - mod[:, 1]) <= MODULUS_TOL
+    if (level & (mod[:, 0] <= MODULUS_TOL)).any():
+        # a11 ~ a33 ~ 0 would degenerate the recursion at every phase
+        log.warning("coin with vanishing (1,1) and (3,3) entries: no isolated "
+                    "degenerate phase exists")
+    a11, da33 = field.transfer_table[:2, order[level & (mod[:, 0] > MODULUS_TOL)]]
     angles: list[float] = []
-    for coin in field.distinct_coins():
-        ang = lambda0_angle(coin)
-        if ang is None:
-            continue
+    # equal phases fall in the same cluster, so each value is tested once
+    for ang in dict.fromkeys(wrap_phase(np.angle(da33 / a11)).tolist()):
         if not any(angle_dist(ang, seen) <= 1e-12 for seen in angles):
             angles.append(ang)
     return sorted(angles)

@@ -10,34 +10,41 @@ the recursion degenerates into a pair of rank-one constraints.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
-from .coin import CoinField, CoinMatrix
+from .coin import CoinField
 from .evolution import coin_stack
-from .linalg import phase_fix, wrap_phase
-
-log = logging.getLogger(__name__)
+from .linalg import phase_fix
 
 # |a11 e^{i lam} - e^{i Delta} conj(a33)| below this (relative) threshold marks
 # the transfer matrix as unbuildable at lam; transfer_rows' mask is the only
 # place this is decided. The exact vanishing phases form a finite set computed
-# by lambda0_angle.
+# by spectral.lambda0_set.
 ZERO_TOL = 1e-9
 
 # |a11| and |a33| must agree to this tolerance for a vanishing phase to exist.
 MODULUS_TOL = 1e-10
 
 
-def transfer_coefficients(coins) -> np.ndarray:
-    """The ten scalars transfer_rows combines with e^{i lam}, one column per coin:
+def _mul(p, q):
+    """p * q elementwise as numpy's scalar complex product (no fused multiply-add),
+    so a coin's bits do not depend on the stack it comes in."""
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape), dtype=complex)
+    out.real = p.real * q.real - p.imag * q.imag
+    out.imag = p.real * q.imag + p.imag * q.real
+    return out
+
+
+def transfer_coefficients(mats: np.ndarray, det_phases) -> np.ndarray:
+    """The ten scalars transfer_rows combines with e^{i lam}, one column per coin
+    matrix of mats, (n, 3, 3), with determinant phase Delta from det_phases:
     a11, e^{i Delta} conj(a33), ZERO_TOL max(|a11|, |a33|), a22, -a13,
     e^{i Delta} conj(a31), a31, e^{i Delta} conj(a13), -e^{i Delta}, conj(a22)."""
-    cols = [(m[0, 0], ed * np.conj(m[2, 2]), ZERO_TOL * max(abs(m[0, 0]), abs(m[2, 2])), m[1, 1],
-             -m[0, 2], ed * np.conj(m[2, 0]), m[2, 0], ed * np.conj(m[0, 2]), -ed, np.conj(m[1, 1]))
-            for m, ed in ((c.mat, c.det_unit) for c in coins)]
-    table = np.array(list(zip(*cols)), dtype=complex)
+    a11, a13, a22, a31, a33 = (mats[:, i, j] for i, j in ((0, 0), (0, 2), (1, 1), (2, 0), (2, 2)))
+    ed = np.exp(1j * np.asarray(det_phases, dtype=float))
+    d33, d31, d13 = _mul(ed, np.conj([a33, a31, a13]))
+    tol = ZERO_TOL * np.maximum(np.hypot(a11.real, a11.imag), np.hypot(a33.real, a33.imag))
+    table = np.array([a11, d33, tol, a22, -a13, d31, a31, d13, -ed, np.conj(a22)], dtype=complex)
     table.setflags(write=False)
     return table
 
@@ -66,23 +73,6 @@ def transfer_rows(table: np.ndarray, el: np.ndarray):
             mdet * (1.0 / e - ca22) / num), zero
 
 
-def lambda0_angle(coin: CoinMatrix) -> float | None:
-    """The unique angle in [0, 2pi) where this coin's transfer matrix degenerates.
-
-    Exists iff |a11| == |a33| (then e^{i lam} = e^{i Delta} conj(a33)/a11);
-    returns None otherwise. Computed symbolically, not by scanning.
-    """
-    m = coin.mat
-    if abs(abs(m[0, 0]) - abs(m[2, 2])) > MODULUS_TOL:
-        return None
-    if abs(m[0, 0]) <= MODULUS_TOL:
-        # a11 ~ a33 ~ 0 would degenerate the recursion at every phase.
-        log.warning("coin with vanishing (1,1) and (3,3) entries: no isolated "
-                    "degenerate phase exists")
-        return None
-    return float(wrap_phase(np.angle(coin.det_unit * np.conj(m[2, 2]) / m[0, 0])))
-
-
 def zero_case_vectors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Constraint directions replacing the transfer step at a degenerate phase,
     for a coin matrix or a stack of them, (..., 3, 3).
@@ -100,8 +90,7 @@ def zero_case_vectors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ca11, a33 = mat[..., 0, 0].conj(), mat[..., 2, 2]
     p = np.stack([a33, ca11, ca11, a33], axis=-1)
     q = np.stack([mat[..., 2, 1].conj(), mat[..., 1, 0], mat[..., 0, 1], mat[..., 1, 2].conj()], -1)
-    v = np.stack([p.real * q.real - p.imag * q.imag, p.real * q.imag + p.imag * q.real], axis=-1)
-    v = v.view(complex).reshape(*p.shape[:-1], 2, 2)  # (..., [left, right], 2)
+    v = _mul(p, q).reshape(*p.shape[:-1], 2, 2)  # (..., [left, right], 2)
     n = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
     small = n <= 1e-300
     v = np.where(small, 0j, phase_fix(v / np.where(small, 1.0, n)))

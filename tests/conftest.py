@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from qw3.coin import CoinField, CoinMatrix, ConfigError, make_fourier, make_grover, phase_scale
+from qw3.coin import (CoinField, CoinMatrix, ConfigError, field_homogeneous, make_fourier,
+                      make_grover, phase_scale)
 from qw3.evolution import StateVector
+from qw3.spectral import lambda0_set
 from qw3.transfer import lift_rows, transfer_coefficients, transfer_rows
 
 THETAS = (np.pi / 12, 3 * np.pi / 12, 7 * np.pi / 12, 11 * np.pi / 12)
@@ -42,8 +44,16 @@ def abcd(coin: CoinMatrix, lam: float) -> tuple[complex, complex, complex, compl
 
 def transfer_batch(coin: CoinMatrix, el):
     """transfer_rows of one coin at el = e^{i lam}, results of el's shape."""
-    entries, zero = transfer_rows(transfer_coefficients([coin]), np.reshape(el, -1))
+    entries, zero = transfer_rows(transfer_coefficients(coin.mat[None], [coin.det_phase]),
+                                 np.reshape(el, -1))
     return tuple(t.reshape(np.shape(el)) for t in entries), zero.reshape(np.shape(el))
+
+
+def lambda0_angle(coin: CoinMatrix) -> float | None:
+    """The coin's degenerate phase in [0, 2pi), None if it has none: lambda0_set
+    of the homogeneous field."""
+    angles = lambda0_set(field_homogeneous(coin))
+    return angles[0] if angles else None
 
 
 def transfer_matrix(coin: CoinMatrix, lam: float) -> np.ndarray | None:

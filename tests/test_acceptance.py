@@ -22,9 +22,8 @@ from qw3.coin import (
 from qw3.evolution import apply_u, default_initial_state, evolve, time_averaged_origin
 from qw3.linalg import TAU, eig2_batch
 from qw3.spectral import find_roots, lambda0_adjudicate, lambda0_set
-from qw3.transfer import lambda0_angle
 
-from conftest import THETAS, abcd, random_coin, transfer_matrix
+from conftest import THETAS, abcd, lambda0_angle, random_coin, transfer_matrix
 
 OMEGA = np.exp(2j * np.pi / 3)
 

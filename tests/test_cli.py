@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qw3.cli import main
-from qw3.coin import field_one_defect, make_fourier, phase_scale
+from qw3.coin import (CoinField, CoinMatrix, field_one_defect, make_fourier, make_grover,
+                      parse_field_config, phase_scale, serialize_field)
 from qw3.evolution import StateVector, apply_u
 
 
@@ -20,6 +21,26 @@ def test_validate_ok(capsys):
     out = capsys.readouterr().out
     assert "1 defect site(s)" in out
     assert "degenerate phases" in out
+
+
+def test_validate_counts_distinct_coins_equating_signed_zeros(tmp_path, capsys):
+    f, g = make_fourier(), make_grover()
+    # the same Grover coin written with -0.0 imaginary parts
+    m = g.mat.copy()
+    m.imag = -0.0
+    g_neg = CoinMatrix(m)
+    assert np.signbit(g_neg.mat.imag).all() and np.array_equal(g_neg.mat, g.mat)
+    field = CoinField(g, f, -2, 2, (f, g_neg, phase_scale(f, 0.3), g))
+    assert np.signbit(parse_field_config(serialize_field(field)).defects[1].mat.imag).all()
+    cfg = tmp_path / "field.json"
+    cfg.write_text(json.dumps(serialize_field(field)))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert "4 defect site(s), 3 distinct coin(s)" in capsys.readouterr().out
+
+
+def test_validate_rejects_non_finite_theta(capsys):
+    assert main(["validate", "--model", "one-defect", "--theta", "inf"]) == 2
+    assert "phase must be finite, got inf" in capsys.readouterr().err
 
 
 def test_validate_requires_model_or_config():
@@ -331,6 +352,18 @@ def test_evolve_rejects_bad_initial_spinor(tmp_path, capsys):
     assert "--psi0 must be a nonzero spinor" in capsys.readouterr().err
     assert main(base + ["--psi0-site", "99"]) == 2
     assert "--psi0-site 99 outside the window [-9, 9]" in capsys.readouterr().err
+    for bad in ("nan", "inf"):
+        assert main(base + ["--psi0", bad, "0", "0", "0", "0", "0"]) == 2
+        assert "--psi0 entries must be finite" in capsys.readouterr().err
+
+
+def test_evolve_normalises_a_huge_initial_spinor(tmp_path):
+    # the plain norm of this spinor overflows to inf
+    out = tmp_path / "e.csv"
+    assert main(["evolve", "--model", "homogeneous", "--t", "3", "--out", str(out),
+                 "--psi0", "1e308", "0", "1e308", "0", "0", "0"]) == 0
+    header, rows = read_csv(out)
+    assert abs(sum(float(r[1]) for r in rows) - 1.0) <= 1e-12
 
 
 def test_evolve_custom_initial_spinor_conserves_norm(tmp_path):

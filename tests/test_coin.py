@@ -98,21 +98,7 @@ def test_two_phase_lookup():
 def test_two_phase_equal_coins_is_homogeneous():
     f = make_fourier()
     field = field_two_phase(f, f)
-    assert len(field.distinct_coins()) == 1
-
-
-def test_distinct_coins_keep_first_seen_order_and_equate_signed_zeros():
-    f, g = make_fourier(), make_grover()
-    # the same Grover coin written with -0.0 imaginary parts
-    m = g.mat.copy()
-    m.imag = -0.0
-    g_neg = CoinMatrix(m)
-    assert np.signbit(g_neg.mat.imag).all() and np.array_equal(g_neg.mat, g.mat)
-    field = CoinField(g, f, -2, 2, (f, g_neg, phase_scale(f, 0.3), g))
-    got = field.distinct_coins()
-    assert [c.mat.tobytes() for c in got] == [g.mat.tobytes(), f.mat.tobytes(),
-                                              phase_scale(f, 0.3).mat.tobytes()]
-    assert got[0] is g and got[1] is f
+    assert len({m.tobytes() for m in field.coin_table}) == 1
 
 
 def test_lookup_total_far_from_origin():
@@ -216,6 +202,9 @@ def general_form(**overrides):
                  id="matrix-not-3x3"),
     pytest.param(lambda: CoinMatrix(np.full((3, 3), np.nan)),
                  "coin has non-finite entries", id="matrix-not-finite"),
+    pytest.param(lambda: parse_field_config(
+        '{"model": "homogeneous", "coin": {"preset": "fourier", "phase": Infinity}}'),
+                 "phase must be finite, got inf", id="phase-not-finite"),
 ])
 def test_outside_input_errors_name_the_fault(build, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

@@ -24,12 +24,13 @@ from qw3.spectral import (
     lambda0_set,
     operator_residual,
 )
-from qw3.transfer import lambda0_angle, zero_case_vectors
+from qw3.transfer import zero_case_vectors
 
 from conftest import (
     THETAS,
     abcd,
     bench_wide_field,
+    lambda0_angle,
     random_coin,
     transfer_batch,
     transfer_matrix,
@@ -190,6 +191,17 @@ def test_find_roots_rejects_a_nan_tolerance():
     assert len(find_roots(preset_field("one-defect", 0)).records) == 3
     with pytest.raises(ValueError, match="refine_tol"):
         find_roots(preset_field("one-defect", 0), refine_tol=float("nan"))
+
+
+def test_lambda0_set_keeps_the_first_seen_phase_of_a_cluster():
+    # F and F e^{i 2pi} share a degenerate phase to within an ulp; of such a
+    # cluster the first seen of c_minus, c_plus, then the defects is kept
+    f, g = make_fourier(), make_grover()
+    turned = phase_scale(f, TAU)
+    assert lambda0_set(field_one_defect(f, turned)) == [2.6179938779914944]
+    assert lambda0_set(field_one_defect(turned, f)) == [2.617993877991494]
+    assert lambda0_set(CoinField(g, f, 0, 1, (turned,))) == [0.0, 2.6179938779914944]
+    assert lambda0_set(CoinField(g, turned, 0, 1, (f,))) == [0.0, 2.617993877991494]
 
 
 def test_lambda0_sets_fourier_models():

@@ -6,7 +6,6 @@ from qw3.linalg import TAU, cross2
 from qw3.spectral import _lands
 from qw3.transfer import (
     ZERO_TOL,
-    lambda0_angle,
     transfer_rows,
     zero_case_vectors,
 )
@@ -16,6 +15,7 @@ from conftest import (
     bench_wide_field,
     iota,
     iota_inverse,
+    lambda0_angle,
     random_coin,
     transfer_batch,
     transfer_matrix,
@@ -47,7 +47,7 @@ def test_abcd_determinant_identity(rng):
         m = c.mat
         el = np.exp(1j * lam)
         expected = (
-            -el * c.det_unit * (np.conj(el) - np.conj(m[1, 1])) / (el - m[1, 1])
+            -el * np.exp(1j * c.det_phase) * (np.conj(el) - np.conj(m[1, 1])) / (el - m[1, 1])
         )
         assert abs(A * D - B * Cc - expected) < 1e-12
 
@@ -55,7 +55,7 @@ def test_abcd_determinant_identity(rng):
 def closed_form(coin: CoinMatrix, el: np.ndarray):
     """The transfer entries of one coin at an array of e^{i lam}, its scalar
     coefficients applied to el one operation at a time."""
-    m, ed = coin.mat, coin.det_unit
+    m, ed = coin.mat, np.exp(1j * coin.det_phase)
     num = m[0, 0] * el - ed * np.conj(m[2, 2])
     zero = np.abs(num) <= ZERO_TOL * max(abs(m[0, 0]), abs(m[2, 2]))
     num = np.where(zero, 1.0, num)

@@ -20,9 +20,10 @@ prints one digest per group of fields, with the counts behind it:
 
 A digest covers, per field: every find_roots and lambda0_adjudicate record
 (lambda, abs chi, both zetas, op_residual, eigenvector window and
-amplitudes, source), both diagnostics lists, and chi_batch at grid 4000
-(values, in_lambda, near_lambda0). Two checkouts agree bit for bit on a
-group iff its digests match. Each checkout runs in its own process.
+amplitudes, source), both diagnostics lists, chi_batch at grid 4000
+(values, in_lambda, near_lambda0) and lambda0_set. Two checkouts agree bit
+for bit on a group iff its digests match. Each checkout runs in its own
+process.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def _record_bytes(r) -> bytes:
 
 def _digest_checkout() -> None:
     import numpy as np
-    from qw3.spectral import chi_batch, find_roots, lambda0_adjudicate
+    from qw3.spectral import chi_batch, find_roots, lambda0_adjudicate, lambda0_set
 
     lams = np.arange(GRID) * (2.0 * np.pi / GRID)
     for name, fields in _groups():
@@ -128,6 +129,7 @@ def _digest_checkout() -> None:
                 counts[d["kind"]] += 1
             values, in_lambda, near = chi_batch(field, lams)
             h.update(values.tobytes() + in_lambda.tobytes() + near.tobytes())
+            h.update(np.array(lambda0_set(field), dtype=np.float64).tobytes())
         summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         print(f"{name:9s} {h.hexdigest()}  fields={len(fields)} {summary}", flush=True)
 
