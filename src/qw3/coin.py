@@ -177,7 +177,10 @@ def _parse_coin(node: object, where: str) -> CoinMatrix:
         if isinstance(phase, bool) or not isinstance(phase, (int, float)):
             raise ConfigError(f"{where}: phase must be a number")
         if phase:
-            coin = phase_scale(coin, float(phase))
+            try:
+                coin = phase_scale(coin, float(phase))
+            except ConfigError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
         return coin
     if "rows" in node:
         rows = node["rows"]

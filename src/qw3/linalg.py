@@ -1,13 +1,15 @@
 """Phase arithmetic and 2x2 complex linear algebra kernels.
 
 The eigenpair kernel takes a stack of 2x2 matrices entry by entry, as
-arrays of dtype complex128, so one call serves a whole phase grid. No
-general matrix sizes: the transfer reduction only ever needs 2x2.
+arrays of dtype complex128, so one call serves a whole phase grid, and
+returns one eigenpair per matrix, that of larger or of smaller modulus, as
+the caller asks. No general matrix sizes: the transfer reduction only ever
+needs 2x2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,23 +47,13 @@ def branch_sqrt(a):
     return np.sqrt(np.abs(a)) * np.exp(0.5j * theta)
 
 
-@dataclass(frozen=True)
-class Eig2:
-    """Eigenpairs of a stack of 2x2 matrices of shape s, as s and s + (2,) arrays.
+class Eig2(NamedTuple):
+    """One eigenpair per matrix of a stack of shape s: the eigenvalue zeta (s),
+    its unnormalised eigenvector v (s + (2,)) and the degenerate flag (s)."""
 
-    zeta_less / zeta_greater are the eigenvalues of smaller / larger
-    modulus (ties keep the + branch first) and v_less / v_greater their
-    unnormalised eigenvectors. Indexing selects from the stack.
-    """
-
-    zeta_less: np.ndarray
-    zeta_greater: np.ndarray
-    v_less: np.ndarray
-    v_greater: np.ndarray
+    zeta: np.ndarray
+    v: np.ndarray
     degenerate: np.ndarray
-
-    def __getitem__(self, i) -> "Eig2":
-        return Eig2(*(a[i] for a in vars(self).values()))
 
 
 def _norm(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
@@ -69,28 +61,21 @@ def _norm(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
                    + (u0.imag * u0.imag + u1.imag * u1.imag))
 
 
-def _eigenvector(m00, m01, m10, m11, zeta, floor):
-    # Kernel of (m - zeta I), not normalised, read off the first row unless
-    # the second is more than twice as well conditioned. (Where the two tie,
-    # as they do for every phase of the Fourier coin, picking the larger one
-    # would switch rows on rounding noise, and the vector would jump by a
-    # unit factor.) ok is False where even the chosen row is negligible.
-    r0, r1 = zeta - m00, zeta - m11
-    n1, n2 = _norm(m01, r0), _norm(r1, m10)
-    first = 2.0 * n1 >= n2
-    v = np.stack([np.where(first, m01, r1), np.where(first, r0, m10)], axis=-1)
-    return v, np.where(first, n1, n2) > floor
+def eig2_batch(m00, m01, m10, m11, greater) -> Eig2:
+    """One eigenpair of each of a stack of 2x2 complex matrices.
 
-
-def eig2_batch(m00, m01, m10, m11) -> Eig2:
-    """Eigenvalues and eigenvectors of a stack of 2x2 complex matrices.
-
-    The matrices are given entry by entry as arrays of one shape. The
-    eigenvalues are (tr +/- branch_sqrt(tr^2 - 4 det)) / 2, ordered by
-    modulus. Each eigenvector is read off one row of (m - zeta I) and left
-    unnormalised, so that it is analytic in the entries wherever zeta is. A
-    (numerically) repeated eigenvalue sets the degenerate flag; a defective
-    matrix then reports the single eigendirection for both vectors.
+    The matrices are given entry by entry as arrays of one shape; greater, a
+    boolean array broadcasting against them, picks per matrix the eigenvalue
+    of larger modulus where true and of smaller modulus where false. The
+    eigenvalues are (tr +/- branch_sqrt(tr^2 - 4 det)) / 2; where their moduli
+    tie the + branch counts as the smaller. The eigenvector is the kernel of
+    (m - zeta I) read off its first row unless the second is more than twice
+    as well conditioned, and left unnormalised, so that it is analytic in the
+    entries wherever zeta is. (Where the two rows tie, as they do for every
+    phase of the Fourier coin, picking the larger one would switch rows on
+    rounding noise, and the vector would jump by a unit factor.) degenerate
+    is set for a (numerically) repeated eigenvalue, and where even the chosen
+    row is negligible; the vector is then [1, 0].
     """
     tr = m00 + m11
     det = m00 * m11 - m01 * m10
@@ -98,18 +83,14 @@ def eig2_batch(m00, m01, m10, m11) -> Eig2:
     degenerate = np.abs(disc) <= DEGENERATE_TOL * np.maximum(1.0, np.abs(tr) ** 2)
     s = branch_sqrt(disc)
     zp, zm = 0.5 * (tr + s), 0.5 * (tr - s)
+    zeta = np.where((np.abs(zp) > np.abs(zm)) == greater, zp, zm)
     floor = 1e-14 * np.maximum(1.0, np.abs([m00, m01, m10, m11]).max(axis=0))
-    vp, ok_p = _eigenvector(m00, m01, m10, m11, zp, floor)
-    vm, ok_m = _eigenvector(m00, m01, m10, m11, zm, floor)
-    # Where one vector is missing the other stands in for it; where both are,
-    # m is (close to) a multiple of the identity: any orthonormal pair.
-    vp, vm = (np.where(ok_p[..., None], vp, np.where(ok_m[..., None], vm, [1.0, 0.0])),
-              np.where(ok_m[..., None], vm, np.where(ok_p[..., None], vp, [0.0, 1.0])))
-    swap = np.abs(zp) > np.abs(zm)
-    vswap = swap[..., None]
-    return Eig2(np.where(swap, zm, zp), np.where(swap, zp, zm),
-                np.where(vswap, vm, vp), np.where(vswap, vp, vm),
-                degenerate | ~ok_p | ~ok_m)
+    r0, r1 = zeta - m00, zeta - m11
+    n1, n2 = _norm(m01, r0), _norm(r1, m10)
+    first = 2.0 * n1 >= n2
+    ok = np.where(first, n1, n2) > floor
+    v = np.stack([np.where(first, m01, r1), np.where(first, r0, m10)], axis=-1)
+    return Eig2(zeta, np.where(ok[..., None], v, [1.0, 0.0]), degenerate | ~ok)
 
 
 def norm(v: np.ndarray):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .coin import CoinField
 from .evolution import StateVector, _steps, coin_stack
-from .linalg import TAU, Eig2, angle_dist, cross2, eig2_batch, norm, wrap_phase
+from .linalg import TAU, angle_dist, cross2, eig2_batch, norm, wrap_phase
 from .transfer import MODULUS_TOL, lift_rows, transfer_rows
 
 log = logging.getLogger(__name__)
@@ -87,22 +87,27 @@ def _chain(field: CoinField, el: np.ndarray, v0, v1, x_from: int, x_to: int,
             yield v0, v1, zero[k]
 
 
-def asymptotic_spectrum(field: CoinField,
-                        el: np.ndarray) -> list[tuple[Eig2, np.ndarray, np.ndarray]]:
-    """Spectra of the tail coins' transfer matrices at an array of e^{i lam}.
+def asymptotic_spectrum(field: CoinField, el: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """The tails' spectra at an array of e^{i lam}, solved only on the arcs.
 
-    Returns [c_minus's, c_plus's], each as the eigenpairs ordered by modulus
-    (their eigenvalues' product has unit modulus), in_lambda, the open
+    Returns [c_minus's, c_plus's] as (zeta, v, in_lambda, zero): the
+    eigenpair that decays away from the window, c_minus's growing one and
+    c_plus's decaying one, as eig2_batch gives it; in_lambda, the open
     condition |tr| > 2 + TR_TOL under which the moduli split strictly and
-    decaying tails exist, and transfer_rows' mask.
+    decaying tails exist; and transfer_rows' mask. Off in_lambda's |tr|
+    condition, or where the mask holds, zeta is 0 and v is [1, 0].
     """
     out = []
-    for _, (t, zero) in _blocks(field.transfer_table[:, [0, -1]], el):
-        pairs = eig2_batch(*t)
+    for a, (t, zero) in _blocks(field.transfer_table[:, [0, -1]], el):
+        in_lambda = (np.abs(t[0] + t[3]) > 2.0 + TR_TOL) & ~zero
+        zeta, v = np.zeros(zero.shape, dtype=complex), np.zeros((*zero.shape, 2), dtype=complex)
+        v[..., 0] = 1.0
+        greater = np.nonzero(in_lambda)[0] + a == 0  # tail 0 is c_minus
+        zeta[in_lambda], v[in_lambda], degenerate = eig2_batch(*(e[in_lambda] for e in t), greater)
         # |tr| > 2 with unit |det| already rules out a repeated eigenvalue; the
         # explicit check keeps a defective pair out of the arcs regardless
-        in_lambda = (np.abs(t[0] + t[3]) > 2.0 + TR_TOL) & ~pairs.degenerate & ~zero
-        out += [(pairs[k], in_lambda[k], zero[k]) for k in range(len(zero))]
+        in_lambda[in_lambda] = ~degenerate
+        out += [(zeta[k], v[k], in_lambda[k], zero[k]) for k in range(len(zero))]
         del t  # the scan's next tail is built without this one's entries
     return out
 
@@ -122,12 +127,13 @@ def lambda0_set(field: CoinField) -> list[float]:
         log.warning("coin with vanishing (1,1) and (3,3) entries: no isolated "
                     "degenerate phase exists")
     a11, da33 = field.transfer_table[:2, order[level & (mod[:, 0] > MODULUS_TOL)]]
-    angles: list[float] = []
-    # equal phases fall in the same cluster, so each value is tested once
-    for ang in dict.fromkeys(wrap_phase(np.angle(da33 / a11)).tolist()):
-        if not any(angle_dist(ang, seen) <= 1e-12 for seen in angles):
-            angles.append(ang)
-    return sorted(angles)
+    phases = wrap_phase(np.angle(da33 / a11))
+    close = (angle_dist(phases[:, None], phases) <= 1e-12).tolist()
+    kept: list[int] = []
+    for i, row in enumerate(close):
+        if not any(row[j] for j in kept):
+            kept.append(i)
+    return sorted(phases[kept].tolist())
 
 
 def chi_batch(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,15 +151,15 @@ def chi_batch(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, np.ndarra
     where near_lambda0 holds.
     """
     el = np.exp(1j * lams)
-    (left, in_left, zero_left), (right, in_right, zero_right) = asymptotic_spectrum(field, el)
+    (_, left, in_left, zero_left), (_, right, in_right, zero_right) = asymptotic_spectrum(field, el)
     near = zero_left | zero_right
     in_lambda = in_left & in_right
     idx = np.flatnonzero(in_lambda)
-    v0, v1 = left.v_greater[idx, 0], left.v_greater[idx, 1]
+    v0, v1 = left[idx, 0], left[idx, 1]
     hit = np.zeros(idx.shape, dtype=bool)
     for v0, v1, zero in _chain(field, el[idx], v0, v1, field.x_minus, field.x_plus + 1):
         hit |= zero
-    w = right.v_less[idx]
+    w = right[idx]
     values = np.full(lams.shape, np.nan, dtype=complex)
     values[idx] = np.where(hit, np.nan, v0 * w[:, 1] - v1 * w[:, 0])
     near[idx[hit]] = True
@@ -263,19 +269,19 @@ def _chains(field: CoinField, lams: np.ndarray):
     grows in it. A chain is F up to the site j where min(|F_j|/max|F|,
     |B_j|/max|B|) peaks and B scaled by <B_j, F_j>/<B_j, B_j> beyond. Returns
     the chains at sites x_minus..x_plus (first axis), the left tail's
-    zeta_greater, the right tail's zeta_less, and ok: both tails on the arcs
-    and every transfer matrix of the chain built.
+    growing rate, the right tail's decaying one, and ok: both tails on the
+    arcs and every transfer matrix of the chain built.
     """
     el = np.exp(1j * lams)
-    (left, in_left, _), (right, in_right, _) = asymptotic_spectrum(field, el)
-    f, zeros = _propagate(field, el, left.v_greater, field.x_minus, field.x_plus)
-    b = _propagate(field, el, right.v_less, field.x_minus, field.x_plus, backward=True)[0]
+    (z_left, left, in_left, _), (z_right, right, in_right, _) = asymptotic_spectrum(field, el)
+    f, zeros = _propagate(field, el, left, field.x_minus, field.x_plus)
+    b = _propagate(field, el, right, field.x_minus, field.x_plus, backward=True)[0]
     nf, nb = np.linalg.norm(f, axis=-1), np.linalg.norm(b, axis=-1)
     j = np.argmax(np.minimum(nf / nf.max(axis=0), nb / nb.max(axis=0)), axis=0)
     fj, bj = f[j, np.arange(len(lams))], b[j, np.arange(len(lams))]
     scale = (bj.conj() * fj).sum(axis=-1) / (bj.conj() * bj).sum(axis=-1)
     chains = np.where((np.arange(len(f))[:, None] > j)[..., None], scale[:, None] * b, f)
-    return chains, left.zeta_greater, right.zeta_less, in_left & in_right & ~zeros.any(axis=0)
+    return chains, z_left, z_right, in_left & in_right & ~zeros.any(axis=0)
 
 
 def build_eigenvector(field: CoinField, lam: float) -> StateVector:
@@ -454,7 +460,8 @@ def lambda0_adjudicate(field: CoinField,
         return []
     el, xm, xp, n = np.exp(1j * lams), field.x_minus, field.x_plus, len(field.defects)
     required, handed = field.constraint_table
-    (left, in_left, zero_left), (right, in_right, zero_right) = asymptotic_spectrum(field, el)
+    (z_left, v_left, in_left, zero_left), (z_right, v_right, in_right, zero_right) = (
+        asymptotic_spectrum(field, el))
 
     def edge(vecs, rates, in_lambda, zero, turn):
         # a tail's unit direction at its window edge and its rate (0: compact, the
@@ -462,8 +469,8 @@ def lambda0_adjudicate(field: CoinField,
         units = [v / norm(v) if ok else np.zeros(2, complex) for v, ok in zip(vecs, in_lambda)]
         return np.where(zero[:, None], turn, units), np.where(in_lambda, rates, 0j)
 
-    start, rate_left = edge(left.v_greater, left.zeta_greater, in_left, zero_left, handed[0])
-    end, rate_right = edge(right.v_less, right.zeta_less, in_right, zero_right, required[-1])
+    start, rate_left = edge(v_left, z_left, in_left, zero_left, handed[0])
+    end, rate_right = edge(v_right, z_right, in_right, zero_right, required[-1])
     f, breaks = _propagate(field, el, start, xm, xp)
     candidates, rates = [], []
     for k, lam in enumerate(lams.tolist()):

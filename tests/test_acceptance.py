@@ -201,7 +201,7 @@ def test_criterion_07_arc_membership_equivalence():
             continue
         ts.append(t)
     ts = np.array(ts)
-    greater = np.abs(eig2_batch(*ts.reshape(-1, 4).T).zeta_greater)
+    greater = np.abs(eig2_batch(*ts.reshape(-1, 4).T, True).zeta)
     tr_abs = np.abs(ts[:, 0, 0] + ts[:, 1, 1])
     disagreements = int(((tr_abs > 2.0) != (greater > 1.0 + 1e-8)).sum())
     assert disagreements == 0

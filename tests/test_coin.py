@@ -204,7 +204,14 @@ def general_form(**overrides):
                  "coin has non-finite entries", id="matrix-not-finite"),
     pytest.param(lambda: parse_field_config(
         '{"model": "homogeneous", "coin": {"preset": "fourier", "phase": Infinity}}'),
-                 "phase must be finite, got inf", id="phase-not-finite"),
+                 "coin: phase must be finite, got inf", id="phase-not-finite"),
+    pytest.param(lambda: parse_field_config(
+        '{"model": "one-defect", "bulk": {"preset": "grover", "phase": NaN},'
+        ' "origin": {"preset": "fourier"}}'),
+                 "bulk: phase must be finite, got nan", id="phase-nan"),
+    pytest.param(lambda: parse_field_config(general_form(
+        defects=[FOURIER] * 3 + [{"preset": "fourier", "phase": -float("inf")}])),
+                 "defects[3]: phase must be finite, got -inf", id="defect-phase-not-finite"),
 ])
 def test_outside_input_errors_name_the_fault(build, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

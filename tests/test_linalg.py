@@ -41,10 +41,12 @@ def test_branch_sqrt_half_plane_image(rng):
 
 
 def eig2(m: np.ndarray):
-    """eig2_batch on one 2x2 matrix: eigenvalues and unit eigenvectors, ordered by modulus."""
-    p = eig2_batch(*np.asarray(m, dtype=complex).reshape(4, 1))
-    return (p.zeta_less[0], p.zeta_greater[0], unit(p.v_less[0]), unit(p.v_greater[0]),
-            bool(p.degenerate[0]))
+    """eig2_batch on one 2x2 matrix, asked for each pair: eigenvalues and unit
+    eigenvectors ordered by modulus, and whether either pair is degenerate."""
+    less, greater = (eig2_batch(*np.asarray(m, dtype=complex).reshape(4, 1), g)
+                     for g in (False, True))
+    return (less.zeta[0], greater.zeta[0], unit(less.v[0]), unit(greater.v[0]),
+            bool(less.degenerate[0] | greater.degenerate[0]))
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -94,24 +96,50 @@ def test_eig2_defective_reports_flag():
 def test_eig2_trace_det_reconstruction(rng):
     ms = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(10_000)]
     m00, m01, m10, m11 = stacked(ms)
-    pairs = eig2_batch(m00, m01, m10, m11)
+    less, greater = (eig2_batch(m00, m01, m10, m11, g) for g in (False, True))
     tr = m00 + m11
     det = m00 * m11 - m01 * m10
     scale = np.maximum(1.0, np.maximum(np.abs(tr), np.abs(det)))
-    assert (np.abs(pairs.zeta_less + pairs.zeta_greater - tr) <= 1e-10 * scale).all()
-    assert (np.abs(pairs.zeta_less * pairs.zeta_greater - det) <= 1e-10 * scale).all()
-    assert (np.abs(pairs.zeta_less) <= np.abs(pairs.zeta_greater)).all()
+    assert (np.abs(less.zeta + greater.zeta - tr) <= 1e-10 * scale).all()
+    assert (np.abs(less.zeta * greater.zeta - det) <= 1e-10 * scale).all()
+    assert (np.abs(less.zeta) <= np.abs(greater.zeta)).all()
 
 
 def test_eig2_eigenvector_residual(rng):
     ms = np.array([rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2000)])
-    pairs = eig2_batch(*stacked(ms))
-    keep = ~pairs.degenerate
+    less, greater = (eig2_batch(*stacked(ms), g) for g in (False, True))
+    keep = ~(less.degenerate | greater.degenerate)
     bound = 1e-10 * np.maximum(1.0, np.abs(ms).max(axis=(1, 2)))[keep]
-    for z, v in ((pairs.zeta_less, pairs.v_less), (pairs.zeta_greater, pairs.v_greater)):
-        v = unit(v)
-        r = np.einsum("kij,kj->ki", ms, v) - z[:, None] * v
+    for pair in (less, greater):
+        v = unit(pair.v)
+        r = np.einsum("kij,kj->ki", ms, v) - pair.zeta[:, None] * v
         assert (np.linalg.norm(r, axis=1)[keep] <= bound).all()
+
+
+def test_eig2_greater_picks_one_pair_per_matrix(rng):
+    # greater broadcasts against the entries and picks, matrix by matrix, the
+    # pair of the all-True or of the all-False call, bit for bit
+    ms = np.array([rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2000)])
+    entries = [e.reshape(2, 1000) for e in stacked(ms)]
+    less, greater = (eig2_batch(*entries, g) for g in (False, True))
+    for mask in (rng.random((2, 1000)) < 0.5, np.array([[True], [False]])):
+        mask = np.broadcast_to(mask, (2, 1000))
+        for got, a, b in zip(eig2_batch(*entries, mask), greater, less):
+            want = np.where(mask.reshape(mask.shape + (1,) * (a.ndim - 2)), a, b)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_eig2_unit_det_moduli_split_off_the_trace_band(rng):
+    # a transfer matrix has |det| = 1: where |tr| > 2 its pairs are never
+    # degenerate, and |zeta_less| < 1 < |zeta_greater| with product 1
+    ms = np.array([rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4000)])
+    ms /= np.sqrt(np.linalg.det(ms))[:, None, None]
+    ms = ms[np.abs(np.trace(ms, axis1=1, axis2=2)) > 2.0 + 1e-9]
+    less, greater = (eig2_batch(*stacked(ms), g) for g in (False, True))
+    assert len(ms) > 500 and not (less.degenerate | greater.degenerate).any()
+    small, large = np.abs(less.zeta), np.abs(greater.zeta)
+    assert (small < 1.0).all() and (large > 1.0).all()
+    assert (np.abs(small * large - 1.0) <= 1e-10 * large).all()
 
 
 def test_matmul_associative_on_unit_norm(rng):

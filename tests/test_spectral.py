@@ -12,7 +12,7 @@ from qw3.coin import (
     phase_scale,
 )
 from qw3.evolution import apply_u
-from qw3.linalg import TAU, angle_dist
+from qw3.linalg import TAU, angle_dist, eig2_batch
 from qw3.spectral import (
     TR_TOL,
     _propagate,
@@ -69,11 +69,19 @@ def sample_valid(rng, coin):
 
 
 def spectrum_at(coin, lam):
-    """asymptotic_spectrum at one phase: the eigenpairs (unit vectors) and in_lambda."""
-    pairs, in_lambda, _ = asymptotic_spectrum(field_homogeneous(coin),
-                                              np.exp(1j * np.array([lam])))[0]
-    unit = [v[0] / np.linalg.norm(v[0]) for v in (pairs.v_less, pairs.v_greater)]
-    return pairs.zeta_less[0], pairs.zeta_greater[0], *unit, bool(in_lambda[0])
+    """Both eigenpairs (unit vectors), ordered by modulus, of the coin's transfer
+    matrix at one phase, from eig2_batch, and in_lambda from asymptotic_spectrum.
+    On the arcs, asymptotic_spectrum's tail pairs are these, bit for bit:
+    c_minus's the growing one, c_plus's the decaying one."""
+    el = np.exp(1j * np.array([lam]))
+    less, greater = (eig2_batch(*transfer_batch(coin, el)[0], g) for g in (False, True))
+    tails = asymptotic_spectrum(field_homogeneous(coin), el)
+    in_lambda = bool(tails[0][2][0])
+    if in_lambda:
+        for (zeta, v, *_), pair in zip(tails, (greater, less)):
+            assert zeta.tobytes() == pair.zeta.tobytes() and v.tobytes() == pair.v.tobytes()
+    unit = [p.v[0] / np.linalg.norm(p.v[0]) for p in (less, greater)]
+    return less.zeta[0], greater.zeta[0], *unit, in_lambda
 
 
 def test_decay_rate_product_has_unit_modulus(rng):
@@ -114,7 +122,7 @@ def test_eigenpair_certification_inside_arcs(rng):
 
 def test_asymptotic_spectrum_rejects_degenerate_phase():
     # no transfer matrix at the degenerate phase: flagged, and kept off the arcs
-    for _, in_lambda, zero in asymptotic_spectrum(field_homogeneous(make_grover()),
+    for *_, in_lambda, zero in asymptotic_spectrum(field_homogeneous(make_grover()),
                                                   np.array([1.0 + 0j])):
         assert zero[0] and not in_lambda[0]
 
@@ -733,22 +741,28 @@ def test_batched_chi_matches_scalar_reference():
 
 
 @pytest.mark.parametrize("field", [
-    pytest.param(preset_field("one-defect", 0), id="one-defect-0"),
-    pytest.param(preset_field("two-phase", 3), id="two-phase-3"),  # a one-site window
-    pytest.param(bench_wide_field(101, 23), id="wide-seed101-23"),
+    *(pytest.param(preset_field(model, i), id=f"{model}-{i}")
+      for model in ("one-defect", "two-phase") for i in range(4)),  # two-phase: one site
+    *(pytest.param(bench_wide_field(seed, i), id=f"wide-seed{seed}-{i}")
+      for seed, i in ((101, 23), (101, 2), (3, 9))),
+    pytest.param(field_two_phase(make_fourier(), make_grover()), id="grover-two-phase"),
 ])
 def test_chi_batch_bits_do_not_depend_on_the_phases_asked(field):
     # the site loop's blocks hold one site of the full grid but the whole
-    # window for a few phases: neither may change a value's bits
+    # window for a few phases, and the tails' eigenpairs are solved only on
+    # the arcs: none of this may change a value's bits
     lams = np.arange(4000) * (TAU / 4000)
     full = chi_batch(field, lams)
+    tails = asymptotic_spectrum(field, np.exp(1j * lams))
     inside = np.flatnonzero(full[1])
-    rng = np.random.default_rng(5)
+    scattered = np.sort(np.random.default_rng(5).choice(4000, 37, replace=False))
     subsets = [inside[:1], inside[-1:], np.array([0]), inside[::97], inside[10:12],
-               np.sort(rng.choice(4000, 37, replace=False)), np.arange(0, 4000, 2)]
+               scattered, np.arange(0, 4000, 2), *scattered[:, None]]
     for k in subsets:
         for got, want in zip(chi_batch(field, lams[k]), full):
-            assert np.array_equal(got, want[k], equal_nan=True), k
+            assert got.tobytes() == want[k].tobytes(), k
+        for got, want in zip(asymptotic_spectrum(field, np.exp(1j * lams[k])), tails):
+            assert all(g.tobytes() == w[k].tobytes() for g, w in zip(got, want)), k
 
 
 def test_field_tables_die_with_the_field():

@@ -287,14 +287,13 @@ def test_iota_inverse_of_transfer_chain_is_eigenvector():
     field = field_one_defect(make_fourier(), phase_scale(make_fourier(), np.pi / 12))
     lam = find_roots(field, grid_n=1000).records[0].lam
     el = np.exp(1j * np.array([lam]))
-    (left, _, _), (right, _, _) = asymptotic_spectrum(field, el)
-    z_greater, z_less = left.zeta_greater[0], right.zeta_less[0]
+    (z_greater, v, _, _), (z_less, _, _, _) = asymptotic_spectrum(field, el)
+    z_greater, z_less, v = z_greater[0], z_less[0], v[0]
     # enough sites for both geometric tails to fall below 1e-12
     m = int(np.ceil(np.log(1e-12) / np.log(abs(z_less))))
     m = max(m, int(np.ceil(-np.log(1e-12) / np.log(abs(z_greater)))))
     lo, hi = field.x_minus - m, field.x_plus + m
     values = np.zeros((hi - lo + 1, 2), dtype=complex)
-    v = left.v_greater[0]
     values[field.x_minus - lo] = v
     for x in range(field.x_minus, field.x_plus):
         v = transfer_matrix(field.lookup(x), lam) @ v
