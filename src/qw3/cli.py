@@ -10,6 +10,7 @@ byte-identical data files. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -74,7 +75,10 @@ def _write_manifest(out: Path, command: str, params: dict, field: CoinField,
 
 def _resolve_field(args: argparse.Namespace) -> CoinField:
     if args.config is not None:
-        return parse_field_config(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            return parse_field_config(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read --config {args.config}: {exc}") from None
     if args.model is None:
         raise ConfigError("provide either --config or --model")
     base = PRESETS[args.coin]()
@@ -84,6 +88,13 @@ def _resolve_field(args: argparse.Namespace) -> CoinField:
     if args.model == "two-phase":
         return field_two_phase(base, shifted)
     return field_homogeneous(shifted)
+
+
+def _out_path(args: argparse.Namespace) -> Path:
+    """--out, checked before any work is done: its directory must exist."""
+    if not (out := Path(args.out)).parent.is_dir():
+        raise ConfigError(f"--out {out}: no directory {out.parent}")
+    return out
 
 
 def _record_json(r: EigenvalueRecord) -> dict:
@@ -125,6 +136,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     _at_least("--grid", args.grid, 1)
+    out = _out_path(args)
     field = _resolve_field(args)
     lams = np.arange(args.grid) * (TAU / args.grid)
     values, in_lambda, near = chi_batch(field, lams)
@@ -132,7 +144,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
     for lam, value, inside, at_lambda0 in zip(lams, values, in_lambda, near):
         abs_chi = "" if np.isnan(value) else _fmt(abs(value))
         lines.append(f"{_fmt(lam)},{abs_chi},{int(inside)},{int(at_lambda0)}")
-    out = Path(args.out)
     _write_atomic(out, "\n".join(lines) + "\n")
     _write_atomic(out.with_name(out.name + ".lambda0.json"),
                   json.dumps({"lambda0": lambda0_set(field)}, sort_keys=True) + "\n")
@@ -142,10 +153,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_roots(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    out = _out_path(args)
     field = _resolve_field(args)
     records, diagnostics = _all_records(field, args.grid, args.refine_tol)
     doc = {"records": [_record_json(r) for r in records], "diagnostics": diagnostics}
-    out = Path(args.out)
     doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)  # NaN, inf: null
     _write_atomic(out, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
     _write_manifest(out, "roots", {"grid": args.grid, "refine_tol": args.refine_tol}, field,
@@ -156,6 +167,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 def cmd_eigvec(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    out = _out_path(args)
     field = _resolve_field(args)
     records, _ = _all_records(field, args.grid, args.refine_tol)
     matches = [r for r in records if angle_dist(r.lam, args.lam) <= args.refine_tol]
@@ -170,7 +182,6 @@ def cmd_eigvec(args: argparse.Namespace) -> int:
     for x, a, norm in zip(range(psi.lo, psi.hi + 1), psi.amps, psi.site_norms()):
         lines.append(",".join([str(x), *(_fmt(v) for c in a for v in (c.real, c.imag)),
                                _fmt(norm)]))
-    out = Path(args.out)
     _write_atomic(out, "\n".join(lines) + "\n")
     _write_manifest(out, "eigvec", {"grid": args.grid, "refine_tol": args.refine_tol,
                                     "lambda": args.lam}, field, started)
@@ -203,6 +214,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     _at_least("--t", args.t, 0)
     if args.window is not None:
         _at_least("--window", args.window, 1)
+    out = _out_path(args)
     field = _resolve_field(args)
     half_width = args.window if args.window is not None else args.t + 6
     psi0 = _initial_state(args, half_width)
@@ -217,7 +229,6 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         lines = ["x,prob"]
         for i, x in enumerate(range(final.lo, final.hi + 1)):
             lines.append(f"{x},{_fmt(final.probs[i])}")
-    out = Path(args.out)
     _write_atomic(out, "\n".join(lines) + "\n")
     _write_manifest(out, "evolve", {"t": args.t, "window": half_width,
                                     "trajectory": bool(args.trajectory)}, field, started)
@@ -235,6 +246,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return cmd_evolve(args)
 
 
+@functools.cache  # built on the first main() call, then reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qw3", description="Spectral analysis and simulation "
                                      "of three-state quantum walks on the integer lattice.")

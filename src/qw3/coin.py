@@ -259,16 +259,13 @@ def parse_field_config(source: str | dict) -> CoinField:
     )
 
 
-def _coin_to_rows(coin: CoinMatrix) -> list:
-    return [[[float(e.real), float(e.imag)] for e in row] for row in coin.mat]
-
-
 def serialize_field(field: CoinField) -> dict:
     """Exact (bit round-trippable) dict form of a field, coins as [re, im] rows."""
+    c_minus, *defects, c_plus = field.coin_table.view(float).reshape(-1, 3, 3, 2).tolist()
     return {
-        "c_minus": {"rows": _coin_to_rows(field.c_minus)},
-        "c_plus": {"rows": _coin_to_rows(field.c_plus)},
+        "c_minus": {"rows": c_minus},
+        "c_plus": {"rows": c_plus},
         "x_minus": field.x_minus,
         "x_plus": field.x_plus,
-        "defects": [{"rows": _coin_to_rows(c)} for c in field.defects],
+        "defects": [{"rows": rows} for rows in defects],
     }

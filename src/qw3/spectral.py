@@ -95,20 +95,25 @@ def asymptotic_spectrum(field: CoinField, el: np.ndarray) -> list[tuple[np.ndarr
     c_plus's decaying one, as eig2_batch gives it; in_lambda, the open
     condition |tr| > 2 + TR_TOL under which the moduli split strictly and
     decaying tails exist; and transfer_rows' mask. Off in_lambda's |tr|
-    condition, or where the mask holds, zeta is 0 and v is [1, 0].
+    condition, or where the mask holds, zeta is 0 and v is [1, 0]. One coin
+    on both half-lines is solved once, both pairs from one eig2_batch call.
     """
+    table = field.transfer_table
+    same = table[:, 0].tobytes() == table[:, -1].tobytes()
     out = []
-    for a, (t, zero) in _blocks(field.transfer_table[:, [0, -1]], el):
+    for a, (t, zero) in _blocks(table[:, :1] if same else table[:, [0, -1]], el):
         in_lambda = (np.abs(t[0] + t[3]) > 2.0 + TR_TOL) & ~zero
+        rows, cols = np.nonzero(in_lambda)
+        t = [e[rows, cols] for e in t]  # only these outlive the next block's transfer_rows
+        if same:  # row 0 serves both tails: greater is [[True], [False]]
+            rows, in_lambda, zero = np.array([[0], [1]]), in_lambda.repeat(2, 0), zero.repeat(2, 0)
         zeta, v = np.zeros(zero.shape, dtype=complex), np.zeros((*zero.shape, 2), dtype=complex)
         v[..., 0] = 1.0
-        greater = np.nonzero(in_lambda)[0] + a == 0  # tail 0 is c_minus
-        zeta[in_lambda], v[in_lambda], degenerate = eig2_batch(*(e[in_lambda] for e in t), greater)
+        zeta[rows, cols], v[rows, cols], degenerate = eig2_batch(*t, rows + a == 0)  # 0: c_minus
         # |tr| > 2 with unit |det| already rules out a repeated eigenvalue; the
         # explicit check keeps a defective pair out of the arcs regardless
-        in_lambda[in_lambda] = ~degenerate
+        in_lambda[rows, cols] = ~degenerate
         out += [(zeta[k], v[k], in_lambda[k], zero[k]) for k in range(len(zero))]
-        del t  # the scan's next tail is built without this one's entries
     return out
 
 

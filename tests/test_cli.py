@@ -346,6 +346,52 @@ def test_roots_config_error_exit2(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_main_reuses_its_parser_after_a_rejected_call(tmp_path, capsys):
+    # one argparse tree serves every main() call of a process, and a call
+    # argparse rejects leaves nothing behind for the next one
+    from qw3.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    args = ["roots", "--model", "one-defect", "--theta", "0.2617993877991494", "--grid", "1000"]
+    assert main(args + ["--out", str(tmp_path / "a.json")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--model", "one-defect", "--grid", "many", "--out", "x.json"])
+    assert exc.value.code == 2 and "invalid int value: 'many'" in capsys.readouterr().err
+    assert main(args + ["--out", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    a, b = (json.loads((tmp_path / f"{n}.json.manifest.json").read_text()) for n in "ab")
+    assert a.pop("wall_time_s") >= 0 and b.pop("wall_time_s") >= 0 and a == b
+
+
+def test_unreadable_config_is_a_configuration_error(tmp_path, capsys):
+    missing, binary = tmp_path / "missing.json", tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    for path in (missing, binary, tmp_path):
+        assert main(["roots", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        assert f"configuration error: cannot read --config {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--model", "one-defect"],
+    ["eigvec", "--model", "one-defect", "--lambda", "1.0"],
+    ["scan", "--model", "one-defect"],
+    ["evolve", "--model", "one-defect"],
+    ["demo", "fig1"],
+    ["demo", "fig2"],
+], ids=["roots", "eigvec", "scan", "evolve", "demo-scan", "demo-evolve"])
+def test_out_in_a_missing_directory_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before checking --out")
+
+    for name in ("find_roots", "chi_batch", "evolve", "lambda0_set"):
+        monkeypatch.setattr(f"qw3.cli.{name}", computed)
+    out = tmp_path / "no" / "such" / "x.out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert (f"configuration error: --out {out}: no directory {out.parent}"
+            in capsys.readouterr().err)
+
+
 def test_evolve_rejects_bad_initial_spinor(tmp_path, capsys):
     base = ["evolve", "--model", "homogeneous", "--t", "3", "--out", str(tmp_path / "e.csv")]
     assert main(base + ["--psi0", "0", "0", "0", "0", "0", "0"]) == 2

@@ -72,10 +72,17 @@ def spectrum_at(coin, lam):
     """Both eigenpairs (unit vectors), ordered by modulus, of the coin's transfer
     matrix at one phase, from eig2_batch, and in_lambda from asymptotic_spectrum.
     On the arcs, asymptotic_spectrum's tail pairs are these, bit for bit:
-    c_minus's the growing one, c_plus's the decaying one."""
+    c_minus's the growing one, c_plus's the decaying one. They are the same
+    whether the coin is on both half-lines (one solve for both tails) or
+    beside another coin (one solve per tail)."""
     el = np.exp(1j * np.array([lam]))
     less, greater = (eig2_batch(*transfer_batch(coin, el)[0], g) for g in (False, True))
     tails = asymptotic_spectrum(field_homogeneous(coin), el)
+    other = make_fourier()
+    beside = (asymptotic_spectrum(field_two_phase(coin, other), el)[0],
+              asymptotic_spectrum(field_two_phase(other, coin), el)[1])
+    for tail, alone in zip(tails, beside):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(tail, alone))
     in_lambda = bool(tails[0][2][0])
     if in_lambda:
         for (zeta, v, *_), pair in zip(tails, (greater, less)):

@@ -17,21 +17,28 @@ prints one digest per group of fields, with the counts behind it:
              side, a chain between geometric tails, a compact chain through
              a dressed Fourier defect, a chain from a geometric left tail to
              a Grover break, and the parity image of each
+  cli        `qw3 roots` through `qw3.cli.main`, all in one process, on the
+             eight presets and on the wide-windows fields of seeds 3 and 101
+             (as `--config` files)
 
 A digest covers, per field: every find_roots and lambda0_adjudicate record
 (lambda, abs chi, both zetas, op_residual, eigenvector window and
 amplitudes, source), both diagnostics lists, chi_batch at grid 4000
-(values, in_lambda, near_lambda0) and lambda0_set. Two checkouts agree bit
-for bit on a group iff its digests match. Each checkout runs in its own
-process.
+(values, in_lambda, near_lambda0) and lambda0_set; per cli job: the exit
+code, the output file's bytes and its manifest without `wall_time_s`. Two
+checkouts agree bit for bit on a group iff its digests match. Each checkout
+runs in its own process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -132,6 +139,33 @@ def _digest_checkout() -> None:
             h.update(np.array(lambda0_set(field), dtype=np.float64).tobytes())
         summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         print(f"{name:9s} {h.hexdigest()}  fields={len(fields)} {summary}", flush=True)
+    _digest_cli()
+
+
+def _digest_cli() -> None:
+    """The cli group: every `qw3 roots` job through one process's `qw3.cli.main`."""
+    from qw3.cli import main
+    from workloads import PRESETS, field_json, wide_fields
+
+    h, counts = hashlib.sha256(), Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        jobs = [p.cli_args() for p in PRESETS]
+        for seed in (3, 101):
+            for i, field in enumerate(wide_fields(seed)):
+                config = Path(tmp, f"wide-{seed}-{i}.json")
+                config.write_text(field_json(field), encoding="utf-8")
+                jobs.append(["--config", str(config)])
+        out = Path(tmp, "roots.json")
+        for argv in jobs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["roots", *argv, "--grid", str(GRID), "--out", str(out)])
+            manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+            del manifest["wall_time_s"]
+            h.update(b"%d" % code + out.read_bytes())
+            h.update(json.dumps(manifest, sort_keys=True).encode())
+            counts[f"exit{code}"] += 1
+    summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+    print(f"{'cli':9s} {h.hexdigest()}  jobs={len(jobs)} {summary}", flush=True)
 
 
 def main(argv: list[str]) -> int:
