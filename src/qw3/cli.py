@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -108,6 +109,15 @@ def _record_json(r: EigenvalueRecord) -> dict:
     }
 
 
+def _null_non_finite(doc):
+    """doc with each NaN or infinite float replaced by None, which JSON writes as null."""
+    if isinstance(doc, dict):
+        return {k: _null_non_finite(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_null_non_finite(v) for v in doc]
+    return None if isinstance(doc, float) and not math.isfinite(doc) else doc
+
+
 def _at_least(flag: str, value, least) -> None:
     if not value >= least:
         raise ConfigError(f"{flag} must be at least {least}, got {value}")
@@ -156,8 +166,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
     out = _out_path(args)
     field = _resolve_field(args)
     records, diagnostics = _all_records(field, args.grid, args.refine_tol)
-    doc = {"records": [_record_json(r) for r in records], "diagnostics": diagnostics}
-    doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)  # NaN, inf: null
+    doc = _null_non_finite({"records": [_record_json(r) for r in records],
+                            "diagnostics": diagnostics})
     _write_atomic(out, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
     _write_manifest(out, "roots", {"grid": args.grid, "refine_tol": args.refine_tol}, field,
                     started)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .linalg import wrap_phase
 
 UNITARY_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
+_EYE = np.eye(3)
 
 
 class ConfigError(ValueError):
@@ -39,27 +40,37 @@ class CoinMatrix:
         m = np.ascontiguousarray(np.asarray(self.mat, dtype=complex))
         if m.shape != (3, 3):
             raise ConfigError(f"coin must be 3x3, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
-            raise ConfigError("coin has non-finite entries")
-        dev = float(np.abs(m.conj().T @ m - np.eye(3)).max())
-        if dev > UNITARY_TOL:
-            raise ConfigError(
-                f"coin is not unitary: max |C^dag C - I| = {dev:.3e} > {UNITARY_TOL:.0e}"
-            )
-        for i, j in ((0, 2), (1, 1), (2, 0)):
-            if abs(abs(m[i, j]) - 1.0) <= DEGENERACY_TOL:
-                raise ConfigError(
-                    f"degenerate coin: |entry ({i + 1},{j + 1})| = 1 reduces the walk "
-                    "to two effective states"
-                )
-        det = np.linalg.det(m)
-        if abs(abs(det) - 1.0) > UNITARY_TOL:
-            raise ConfigError(f"coin determinant has modulus {abs(det):.12f}, expected 1")
+        object.__setattr__(self, "det_phase", check_coins(m[None]).tolist()[0])
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
-        object.__setattr__(self, "det_phase", float(wrap_phase(np.angle(det))))
 
 
+def check_coins(mats: np.ndarray, places: list[str] | None = None) -> np.ndarray:
+    """The det phases of an (n, 3, 3) complex stack of coins, each checked in turn
+    for finite entries, unitarity, non-degeneracy and |det| = 1. The first coin to
+    fail raises the ConfigError of its first failed check, after its place if given."""
+    finite = np.isfinite(mats.view(float)).all(axis=(1, 2))
+    m = np.where(finite[:, None, None], mats, _EYE)  # a non-finite coin fails first anyway
+    dev = np.abs(m.conj().transpose(0, 2, 1) @ m - _EYE).max(axis=(1, 2))
+    corners = np.abs(np.abs(m[:, [0, 1, 2], [2, 1, 0]]) - 1.0) <= DEGENERACY_TOL
+    det = np.linalg.det(m)
+    faults = [~finite, dev > UNITARY_TOL, corners.any(axis=1),
+              np.abs(np.abs(det) - 1.0) > UNITARY_TOL]
+    bad = np.logical_or.reduce(faults)
+    if not bad.any():
+        return wrap_phase(np.angle(det))
+    k = int(np.argmax(bad))
+    i = int(np.argmax(corners[k]))
+    message = ["coin has non-finite entries",
+               f"coin is not unitary: max |C^dag C - I| = {dev[k]:.3e} > {UNITARY_TOL:.0e}",
+               f"degenerate coin: |entry ({i + 1},{3 - i})| = 1 reduces the walk to two "
+               "effective states",
+               f"coin determinant has modulus {abs(det[k]):.12f}, expected 1",
+               ][[fault[k] for fault in faults].index(True)]
+    raise ConfigError(message if places is None else f"{places[k]}: {message}")
+
+
+@cache  # a coin is immutable: build and check each preset once
 def make_fourier() -> CoinMatrix:
     """The 3-point discrete Fourier transform coin, entries omega^{jk}/sqrt(3)."""
     w = np.exp(2j * np.pi / 3.0)
@@ -69,6 +80,7 @@ def make_fourier() -> CoinMatrix:
     return CoinMatrix(rows)
 
 
+@cache
 def make_grover() -> CoinMatrix:
     """The Grover diffusion coin (2/3) J - I with J the all-ones matrix."""
     return CoinMatrix((2.0 / 3.0) * np.ones((3, 3)) - np.eye(3))
@@ -162,15 +174,15 @@ def field_two_phase(left: CoinMatrix, right: CoinMatrix) -> CoinField:
     return CoinField(left, right, 0, 0, ())
 
 
-def _parse_coin(node: object, where: str) -> CoinMatrix:
+def _coin_entries(node: object, where: str) -> list:
+    """A coin's entries as 18 numbers, re and im row by row: its rows, or its preset's."""
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: coin must be an object, got {type(node).__name__}")
     if "preset" in node:
         name = node["preset"]
-        if name not in PRESETS:
-            raise ConfigError(
-                f"{where}: unknown preset {name!r} (expected one of {sorted(PRESETS)})"
-            )
+        if not isinstance(name, str) or name not in PRESETS:  # a list is not hashable
+            raise ConfigError(f"{where}: unknown preset {name!r} "
+                              f"(expected one of {sorted(PRESETS)})")
         coin = PRESETS[name]()
         phase = node.get("phase", 0.0)
         # bool is an int subclass, but a JSON true/false is not a phase
@@ -181,24 +193,42 @@ def _parse_coin(node: object, where: str) -> CoinMatrix:
                 coin = phase_scale(coin, float(phase))
             except ConfigError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
-        return coin
+        return coin.mat.view(float).ravel().tolist()
     if "rows" in node:
-        rows = node["rows"]
-        try:
-            arr = np.array(
-                [[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex
-            )
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ConfigError(
-                f"{where}: rows must be a 3x3 nesting of [re, im] pairs ({exc})"
-            ) from None
-        if arr.shape != (3, 3):
-            raise ConfigError(f"{where}: rows must be 3x3, got {arr.shape}")
-        try:
-            return CoinMatrix(arr)
-        except ConfigError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+        # rows of one length, of [re, im] pairs, of numbers: ints or floats, not bools
+        rows, lists = node["rows"], {list, tuple}
+        ok = type(rows) in lists and {*map(type, rows)} <= lists and len({*map(len, rows)}) < 2
+        pairs = [e for row in rows for e in row] if ok else []
+        ok = ok and {*map(type, pairs)} <= lists and {*map(len, pairs)} <= {2}
+        flat = [v for e in pairs for v in e] if ok else []
+        if not ok or not all(issubclass(t, (int, float)) and t is not bool
+                             for t in {*map(type, flat)}):
+            raise ConfigError(f"{where}: rows must be a 3x3 nesting of [re, im] pairs")
+        if (shape := (len(rows), *map(len, rows[:1]))) != (3, 3):
+            raise ConfigError(f"{where}: rows must be 3x3, got {shape}")
+        return flat
     raise ConfigError(f"{where}: coin needs either 'preset' or 'rows'")
+
+
+def _parse_coins(nodes: dict[str, object]) -> list[CoinMatrix]:
+    """The coins of nodes (place: node), parsed in order and checked as one stack: the
+    first coin with a fault of any kind is named, as if each were checked in turn."""
+    entries, fault = [], None
+    for where, node in nodes.items():
+        try:
+            entries += _coin_entries(node, where)
+        except ConfigError as exc:
+            fault = exc
+            break
+    mats = np.array(entries, dtype=float).view(complex).reshape(-1, 3, 3)
+    mats.setflags(write=False)
+    coins = [object.__new__(CoinMatrix) for _ in mats]  # checked here, not one by one
+    for coin, m, det_phase in zip(coins, mats, check_coins(mats, list(nodes)).tolist()):
+        object.__setattr__(coin, "mat", m)
+        object.__setattr__(coin, "det_phase", det_phase)
+    if fault is not None:
+        raise fault
+    return coins
 
 
 def parse_field_config(source: str | dict) -> CoinField:
@@ -225,15 +255,13 @@ def parse_field_config(source: str | dict) -> CoinField:
 
     model = doc.get("model")
     if model == "one-defect":
-        return field_one_defect(
-            _parse_coin(doc.get("bulk"), "bulk"), _parse_coin(doc.get("origin"), "origin")
-        )
+        return field_one_defect(*_parse_coins({"bulk": doc.get("bulk"),
+                                               "origin": doc.get("origin")}))
     if model == "two-phase":
-        return field_two_phase(
-            _parse_coin(doc.get("left"), "left"), _parse_coin(doc.get("right"), "right")
-        )
+        return field_two_phase(*_parse_coins({"left": doc.get("left"),
+                                              "right": doc.get("right")}))
     if model == "homogeneous":
-        return field_homogeneous(_parse_coin(doc.get("coin"), "coin"))
+        return field_homogeneous(*_parse_coins({"coin": doc.get("coin")}))
     if model is not None:
         raise ConfigError(
             f"unknown model {model!r} (expected one-defect, two-phase or homogeneous)"
@@ -247,16 +275,10 @@ def parse_field_config(source: str | dict) -> CoinField:
         raise ConfigError("x_minus and x_plus must be integers")
     if not isinstance(doc["defects"], list):
         raise ConfigError("defects must be a list of coins")
-    defects = tuple(
-        _parse_coin(node, f"defects[{i}]") for i, node in enumerate(doc["defects"])
-    )
-    return CoinField(
-        _parse_coin(doc["c_minus"], "c_minus"),
-        _parse_coin(doc["c_plus"], "c_plus"),
-        doc["x_minus"],
-        doc["x_plus"],
-        defects,
-    )
+    *defects, c_minus, c_plus = _parse_coins({
+        **{f"defects[{i}]": node for i, node in enumerate(doc["defects"])},
+        "c_minus": doc["c_minus"], "c_plus": doc["c_plus"]})
+    return CoinField(c_minus, c_plus, doc["x_minus"], doc["x_plus"], tuple(defects))
 
 
 def serialize_field(field: CoinField) -> dict:

@@ -60,20 +60,21 @@ def _blocks(table: np.ndarray, el: np.ndarray):
 
 
 def _chain(field: CoinField, el: np.ndarray, v0, v1, x_from: int, x_to: int,
-           backward: bool = False):
+           backward: bool = False, out: np.ndarray | None = None):
     """The site loop: the transfer chain over sites [x_from, x_to) applied to (v0, v1).
 
     v0, v1 are the components of n states at x_from, or at x_to when
     backward (T_x^-1 = adj(T_x)/det(T_x) carries x + 1 to x), el their n
-    values e^{i lam}. Yields (v0, v1, zero) site after site, zero where the
-    site's transfer matrix could not be built. There the site's rank-one
-    constraint takes the step, for those phases only: forward, the state
-    beyond the site becomes the direction its coin hands on; backward, the
-    state at the site becomes the one it requires (field.constraint_table).
+    values e^{i lam}; out, (sites, n, 2), if given, takes each step's state.
+    Returns the end state and the mask, (sites, n) in step order, of the sites
+    whose transfer matrix could not be built. There the rank-one constraint
+    steps: forward, the state beyond the site becomes the direction its coin
+    hands on; backward, the state at the site the one it requires (field.constraint_table).
     """
     lo, hi = x_from - field.x_minus + 1, x_to - field.x_minus + 1
     cols, (required, handed) = field.transfer_table[:, lo:hi], field.constraint_table
     turns = required[lo:hi][::-1] if backward else handed[lo:hi]
+    masks = [np.zeros((0, len(el)), dtype=bool)]
     for a, ((t00, t01, t10, t11), zero) in _blocks(cols[:, ::-1].copy() if backward else cols, el):
         if backward:
             det = np.where(zero, 1.0, t00 * t11 - t01 * t10)
@@ -84,7 +85,10 @@ def _chain(field: CoinField, el: np.ndarray, v0, v1, x_from: int, x_to: int,
             if breaks[k]:
                 w = turns[a + k]
                 v0, v1 = np.where(zero[k], w[0], v0), np.where(zero[k], w[1], v1)
-            yield v0, v1, zero[k]
+            if out is not None:
+                out[a + k, :, 0], out[a + k, :, 1] = v0, v1
+        masks.append(zero)
+    return v0, v1, np.concatenate(masks)
 
 
 def asymptotic_spectrum(field: CoinField, el: np.ndarray) -> list[tuple[np.ndarray, ...]]:
@@ -160,10 +164,9 @@ def chi_batch(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, np.ndarra
     near = zero_left | zero_right
     in_lambda = in_left & in_right
     idx = np.flatnonzero(in_lambda)
-    v0, v1 = left[idx, 0], left[idx, 1]
-    hit = np.zeros(idx.shape, dtype=bool)
-    for v0, v1, zero in _chain(field, el[idx], v0, v1, field.x_minus, field.x_plus + 1):
-        hit |= zero
+    v0, v1, zeros = _chain(field, el[idx], left[idx, 0], left[idx, 1], field.x_minus,
+                           field.x_plus + 1)
+    hit = zeros.any(axis=0)
     w = right[idx]
     values = np.full(lams.shape, np.nan, dtype=complex)
     values[idx] = np.where(hit, np.nan, v0 * w[:, 1] - v1 * w[:, 0])
@@ -304,15 +307,15 @@ def build_eigenvector(field: CoinField, lam: float) -> StateVector:
     return _lift(field, [(lam, field.x_minus, chains[:, 0], zg[0], zl[0])])[0]
 
 
-def _secant(f, x0: np.ndarray, x1: np.ndarray, tol: float):
+def _secant(f, x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, tol: float):
     """Complex secant iterations from every pair (x0_k, x1_k) in lockstep, in place.
 
     f maps an array of complex points to an array of values, NaN where it is
-    undefined. A run converges once its step is at most tol, and fails where
-    it meets an undefined value or two equal ones. Returns the end points,
-    which runs converged, and which were still running at the cap.
+    undefined; f0 holds its values at x0. A run converges once its step is at
+    most tol, and fails where it meets an undefined value or two equal ones.
+    Returns the end points, which runs converged, and which still ran at the cap.
     """
-    f0, f1 = np.split(f(np.concatenate([x0, x1])), 2)
+    f1 = f(x1)
     converged = np.zeros(x1.shape, dtype=bool)
     running = ~np.isnan(f0) & ~np.isnan(f1)
     for _ in range(_SECANT_MAX_ITER):
@@ -389,7 +392,8 @@ def find_roots(
         return chi_batch(field, z)[0]
 
     x0 = lams[minima].astype(complex)
-    xs, converged, stalled = _secant(chi_at, x0, x0 + TAU / grid_n / 4, refine_tol)
+    # the grid's values at x0 are the bits a fresh call would return
+    xs, converged, stalled = _secant(chi_at, x0, values[minima], x0 + TAU / grid_n / 4, refine_tol)
     diagnostics: list[dict] = [{"kind": "refine-nonconverged", "lambda": float(wrap_phase(x.real))}
                                for x in xs[stalled]]
     merged: list[float] = []
@@ -431,13 +435,9 @@ def _propagate(field: CoinField, el: np.ndarray, start: np.ndarray, x_from: int,
     """_chain from start, (n, 2): the values at sites x_from..x_to on a new first axis,
     and its mask of the sites stepped, in the order stepped, (x_to - x_from, n)."""
     values = np.empty((x_to - x_from + 1, *start.shape), dtype=complex)
-    rows = range(x_to - x_from, -1, -1) if backward else range(x_to - x_from + 1)
-    values[rows[0]], zeros = start, []
-    for i, (v0, v1, zero) in zip(rows[1:], _chain(field, el, start[:, 0], start[:, 1],
-                                                  x_from, x_to, backward)):
-        values[i, :, 0], values[i, :, 1] = v0, v1
-        zeros.append(zero)
-    return values, np.array(zeros, dtype=bool).reshape(x_to - x_from, len(el))
+    values[-1 if backward else 0] = start
+    return values, _chain(field, el, start[:, 0], start[:, 1], x_from, x_to, backward,
+                          values[:-1][::-1] if backward else values[1:])[2]
 
 
 def _lands(v: np.ndarray, direction: np.ndarray) -> bool:

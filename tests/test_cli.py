@@ -131,6 +131,23 @@ def test_roots_writes_a_nan_residual_as_null(tmp_path, monkeypatch):
         ("residual-violation", None)] * 3
 
 
+@pytest.mark.parametrize("value", [float("inf"), -float("inf")])
+def test_roots_writes_an_infinite_residual_as_null(tmp_path, monkeypatch, value):
+    # inf fails the certificate and -inf passes it; either is written as null
+    monkeypatch.setattr("qw3.spectral.operator_residual", lambda *args: value)
+    out = tmp_path / "roots.json"
+    code = main(["roots", "--model", "one-defect", "--theta", "0.2617993877991494",
+                 "--out", str(out)])
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(out.read_text(), parse_constant=refuse)
+    written = doc["diagnostics"] if value > 0 else doc["records"]
+    assert (code, [r["op_residual"] for r in written]) == (3 if value > 0 else 0, [None] * 3)
+    assert not (doc["records"] if value > 0 else doc["diagnostics"])
+
+
 def test_scan_trace_shows_root_dips(tmp_path):
     # the masked |chi| trace dips toward zero once per eigenvalue and
     # nowhere else (spurious local minima sit orders of magnitude higher)

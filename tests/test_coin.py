@@ -212,6 +212,23 @@ def general_form(**overrides):
     pytest.param(lambda: parse_field_config(general_form(
         defects=[FOURIER] * 3 + [{"preset": "fourier", "phase": -float("inf")}])),
                  "defects[3]: phase must be finite, got -inf", id="defect-phase-not-finite"),
+    pytest.param(lambda: parse_field_config(general_form(
+        defects=[FOURIER] * 3 + [{"rows": [[[1, 0, 99], [0, 0], [0, 0]]] * 3}])),
+                 "defects[3]: rows must be a 3x3 nesting of [re, im] pairs", id="rows-triple"),
+    pytest.param(lambda: parse_field_config(json.dumps(general_form(
+        c_plus={"rows": [[[True, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                         [[0, 0], [0, 0], [1, 0]]]}))),
+                 "c_plus: rows must be a 3x3 nesting of [re, im] pairs", id="rows-bool"),
+    pytest.param(lambda: parse_field_config(general_form(
+        defects=[{"rows": [[["1.0", "0"], [0, 0], [0, 0]]] * 3}])),
+                 "defects[0]: rows must be a 3x3 nesting of [re, im] pairs", id="rows-string"),
+    pytest.param(lambda: parse_field_config(general_form(
+        defects=[{"rows": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0]] * 3]}])),
+                 "defects[0]: rows must be a 3x3 nesting of [re, im] pairs", id="rows-ragged"),
+    pytest.param(lambda: parse_field_config(general_form(c_plus={"preset": ["fourier"]})),
+                 "c_plus: unknown preset ['fourier']", id="preset-not-a-name"),
+    pytest.param(lambda: parse_field_config(general_form(c_minus={"rows": "abc"})),
+                 "c_minus: rows must be a 3x3 nesting of [re, im] pairs", id="rows-string-itself"),
 ])
 def test_outside_input_errors_name_the_fault(build, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -230,6 +247,60 @@ def test_parse_rejects_degenerate_coin():
     cfg = {"model": "two-phase", "left": {"preset": "fourier"}, "right": {"rows": eye}}
     with pytest.raises(ConfigError, match=r"right.*degenerate"):
         parse_field_config(cfg)
+
+
+def test_a_config_checked_as_one_stack_keeps_every_coin_bit(rng):
+    # each parsed coin is CoinMatrix(arr) byte for byte, and its det_phase is
+    # the wrapped angle of np.linalg.det on that coin alone
+    from qw3.linalg import wrap_phase
+
+    from conftest import bench_wide_field
+
+    coins = [random_coin(rng) for _ in range(200)]
+    for index in range(24):
+        field = bench_wide_field(101, index)
+        coins += [field.c_minus, *field.defects, field.c_plus]
+    parsed = parse_field_config(json.dumps(serialize_field(
+        CoinField(coins[0], coins[-1], 0, len(coins) - 2, tuple(coins[1:-1])))))
+    for coin, got in zip(coins, [parsed.c_minus, *parsed.defects, parsed.c_plus]):
+        alone = CoinMatrix(coin.mat.copy())
+        assert got.mat.tobytes() == alone.mat.tobytes() == coin.mat.tobytes()
+        det_phase = float(wrap_phase(np.angle(np.linalg.det(coin.mat))))
+        assert (np.float64(got.det_phase).tobytes() == np.float64(alone.det_phase).tobytes()
+                == np.float64(det_phase).tobytes())
+
+
+NON_UNITARY = {"rows": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]] * 3}
+IDENTITY = {"rows": [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param(general_form(defects=[FOURIER, FOURIER, NON_UNITARY, FOURIER,
+                                       {"rows": [[1, 0, 0]] * 3}]),
+                 "defects[2]: coin is not unitary: max |C^dag C - I| = 2.000e+00 > 1e-10",
+                 id="non-unitary-before-malformed"),
+    pytest.param(general_form(defects=[FOURIER, FOURIER, {"rows": [[1, 0, 0]] * 3}, FOURIER,
+                                       NON_UNITARY]),
+                 "defects[2]: rows must be a 3x3 nesting of [re, im] pairs",
+                 id="malformed-before-non-unitary"),
+    pytest.param(general_form(c_minus=IDENTITY, defects=[FOURIER, NON_UNITARY]),
+                 "defects[1]: coin is not unitary: max |C^dag C - I| = 2.000e+00 > 1e-10",
+                 id="degenerate-c-minus-after-non-unitary-defect"),
+    pytest.param(general_form(c_minus=IDENTITY, defects=[FOURIER, {"preset": "nope"}]),
+                 "defects[1]: unknown preset 'nope'", id="degenerate-c-minus-after-bad-preset"),
+    pytest.param(general_form(defects=[IDENTITY, NON_UNITARY]),
+                 "defects[0]: degenerate coin: |entry (2,2)| = 1 reduces the walk to two "
+                 "effective states", id="degenerate-before-non-unitary"),
+    pytest.param({"model": "two-phase", "left": NON_UNITARY, "right": {"rows": 5}},
+                 "left: coin is not unitary: max |C^dag C - I| = 2.000e+00 > 1e-10",
+                 id="two-phase-left-first"),
+])
+def test_a_config_with_two_faulty_coins_names_the_first(doc, message):
+    # the messages are those of checking one coin after another, in the order
+    # defects, c_minus, c_plus
+    with pytest.raises(ConfigError) as exc:
+        parse_field_config(json.dumps(doc))
+    assert str(exc.value).startswith(message)
 
 
 def test_unitarity_invariant_on_random_coins(rng):

@@ -772,6 +772,34 @@ def test_chi_batch_bits_do_not_depend_on_the_phases_asked(field):
             assert all(g.tobytes() == w[k].tobytes() for g, w in zip(got, want)), k
 
 
+@pytest.mark.parametrize("field", [
+    pytest.param(preset_field("one-defect", 2), id="one-defect-2"),
+    pytest.param(bench_wide_field(101, 23), id="wide-seed101-23"),
+])
+def test_find_roots_evaluates_no_grid_phase_twice(field, monkeypatch):
+    # the secant starts from the grid's own values at the minima, so its first
+    # chi_batch call asks only for the second points, a quarter step on
+    import qw3.spectral
+
+    calls = []
+
+    def recorded(field, lams):
+        calls.append(np.array(lams))
+        return chi_batch(field, lams)
+
+    monkeypatch.setattr(qw3.spectral, "chi_batch", recorded)
+    assert find_roots(field).records
+    grid = calls[0]
+    values = chi_batch(field, grid)[0]
+    y = np.where(np.isnan(values), np.inf, np.abs(values))
+    minima = np.flatnonzero((y < np.inf) & (y <= np.roll(y, 1)) & (y <= np.roll(y, -1)))
+    assert len(grid) == 4000 and len(minima) > 0
+    assert calls[1].tobytes() == (grid[minima] + TAU / 4000 / 4).astype(complex).tobytes()
+    # the values handed on are those a fresh call at the complex minima gives
+    fresh = chi_batch(field, grid[minima].astype(complex))[0]
+    assert fresh.tobytes() == values[minima].tobytes()
+
+
 def test_field_tables_die_with_the_field():
     # the transfer and coin tables are kept on the field, not in a module
     # cache that would keep every field ever scanned alive

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """sha256 digests of qw3's spectral output, to compare two checkouts bit for bit.
 
-    python3 tools/parity_hash.py <checkout> [<checkout> ...]
+    python3 tools/parity_hash.py [--wide-seeds A-B] <checkout> [<checkout> ...]
 
 For each checkout, imports its `src/qw3` and its `bench/workloads.py` and
 prints one digest per group of fields, with the counts behind it:
@@ -21,6 +21,10 @@ prints one digest per group of fields, with the counts behind it:
              eight presets and on the wide-windows fields of seeds 3 and 101
              (as `--config` files)
 
+`--wide-seeds A-B` adds the wide-windows fields of seeds A to B: one
+`wide-<seed>` group for each seed not listed above, and their `--config`
+jobs to the cli group.
+
 A digest covers, per field: every find_roots and lambda0_adjudicate record
 (lambda, abs chi, both zetas, op_residual, eigenvector window and
 amplitudes, source), both diagnostics lists, chi_batch at grid 4000
@@ -32,6 +36,7 @@ runs in its own process.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -90,13 +95,13 @@ def _chain_fields():
     return fields + [_mirrored(f) for f in fields]
 
 
-def _groups():
+def _groups(extra_seeds):
     from qw3 import (field_homogeneous, field_one_defect, field_two_phase, make_fourier,
                      make_grover, phase_scale)
     from workloads import PRESETS, THETAS, wide_fields
 
     yield "presets", [p.field() for p in PRESETS]
-    for seed in WIDE_SEEDS:
+    for seed in [*WIDE_SEEDS, *(s for s in extra_seeds if s not in WIDE_SEEDS)]:
         yield f"wide-{seed}", wide_fields(seed)
     grover, fourier = make_grover(), make_fourier()
     fields = [build(grover, phase_scale(grover, t))
@@ -117,12 +122,12 @@ def _record_bytes(r) -> bytes:
             + r.source.encode())
 
 
-def _digest_checkout() -> None:
+def _digest_checkout(extra_seeds) -> None:
     import numpy as np
     from qw3.spectral import chi_batch, find_roots, lambda0_adjudicate, lambda0_set
 
     lams = np.arange(GRID) * (2.0 * np.pi / GRID)
-    for name, fields in _groups():
+    for name, fields in _groups(extra_seeds):
         h, counts = hashlib.sha256(), Counter()
         for field in fields:
             scan = find_roots(field, grid_n=GRID)
@@ -139,10 +144,10 @@ def _digest_checkout() -> None:
             h.update(np.array(lambda0_set(field), dtype=np.float64).tobytes())
         summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         print(f"{name:9s} {h.hexdigest()}  fields={len(fields)} {summary}", flush=True)
-    _digest_cli()
+    _digest_cli(extra_seeds)
 
 
-def _digest_cli() -> None:
+def _digest_cli(extra_seeds) -> None:
     """The cli group: every `qw3 roots` job through one process's `qw3.cli.main`."""
     from qw3.cli import main
     from workloads import PRESETS, field_json, wide_fields
@@ -150,7 +155,7 @@ def _digest_cli() -> None:
     h, counts = hashlib.sha256(), Counter()
     with tempfile.TemporaryDirectory() as tmp:
         jobs = [p.cli_args() for p in PRESETS]
-        for seed in (3, 101):
+        for seed in [3, 101, *(s for s in extra_seeds if s not in (3, 101))]:
             for i, field in enumerate(wide_fields(seed)):
                 config = Path(tmp, f"wide-{seed}-{i}.json")
                 config.write_text(field_json(field), encoding="utf-8")
@@ -168,18 +173,28 @@ def _digest_cli() -> None:
     print(f"{'cli':9s} {h.hexdigest()}  jobs={len(jobs)} {summary}", flush=True)
 
 
+def _seed_range(text: str) -> range:
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) == 3 and argv[1] == "--inside":
-        root = Path(argv[2]).resolve()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("checkouts", nargs="+", metavar="checkout")
+    parser.add_argument("--wide-seeds", type=_seed_range, default=range(0), metavar="A-B",
+                        help="also digest the wide-windows fields of seeds A to B")
+    parser.add_argument("--inside", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv[1:])
+    if args.inside:
+        root = Path(args.checkouts[0]).resolve()
         sys.path[:0] = [str(root / "src"), str(root / "bench")]
-        _digest_checkout()
+        _digest_checkout(args.wide_seeds)
         return 0
-    if len(argv) < 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    for checkout in argv[1:]:
+    seeds = [f"--wide-seeds={args.wide_seeds.start}-{args.wide_seeds.stop - 1}"
+             ] if args.wide_seeds else []
+    for checkout in args.checkouts:
         print(f"# {checkout}", flush=True)
-        code = subprocess.call([sys.executable, __file__, "--inside", checkout])
+        code = subprocess.call([sys.executable, __file__, "--inside", *seeds, checkout])
         if code:
             return code
     return 0
