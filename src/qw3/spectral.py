@@ -337,11 +337,13 @@ def _secant(f, x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, tol: float):
     return x1, converged, running
 
 
-def _make_record(field: CoinField, candidates: list, tail_rates: list | None = None) -> list:
-    """Certify candidates (lam, start, values, rate_left, rate_right) together: (psi,
-    residual) or the rejecting diagnostic each, marginal-decay for a nonzero tail rate (its
-    own, or its phase's in tail_rates) within DECAY_MARGIN of 1 or an own tail longer than
-    _TAIL_SITES, residual-violation for a one-step residual not <= RESIDUAL_TOL."""
+def _certify(field: CoinField, candidates: list, source: str, chis: list | None = None,
+             tail_rates: list | None = None) -> tuple[list[EigenvalueRecord], list[dict]]:
+    """Certify candidates (lam, start, values, rate_left, rate_right) together: the records
+    (abs chi from chis, else 0) and the rejecting diagnostics, each in candidate order;
+    marginal-decay for a nonzero tail rate (its own, or its phase's in tail_rates) within
+    DECAY_MARGIN of 1 or an own tail longer than _TAIL_SITES, residual-violation for a
+    one-step residual not <= RESIDUAL_TOL."""
     own = np.array([c[3:] for c in candidates], dtype=complex).reshape(-1, 2).T
     tails = own if tail_rates is None else np.array(tail_rates, dtype=complex).reshape(-1, 2).T
     mod, sites = np.hypot(tails.real, tails.imag), _tail_sites(own)  # mod: abs(), bit for bit
@@ -356,12 +358,14 @@ def _make_record(field: CoinField, candidates: list, tail_rates: list | None = N
     for run in (live[a:b] for a, b in zip(cut, cut[1:]) if a < b):  # about _BLOCK rows each
         lams = np.array([candidates[k][0] for k in run])
         psis = _lift(field, [candidates[k] for k in run])
-        # one call for the run; a scalar residual stands for every state
-        residuals = np.broadcast_to(operator_residual(field, lams, psis), lams.shape).tolist()
-        for k, lam, psi, residual in zip(run, lams.tolist(), psis, residuals):
-            out[k] = ((psi, residual) if residual <= RESIDUAL_TOL else  # NaN fails too
+        for k, lam, psi, residual in zip(run, lams.tolist(), psis,
+                                         operator_residual(field, lams, psis).tolist()):
+            out[k] = (EigenvalueRecord(lam, 0.0 if chis is None else chis[k], *candidates[k][3:],
+                                       psi, residual, source)
+                      if residual <= RESIDUAL_TOL else  # NaN fails too
                       {"kind": "residual-violation", "lambda": lam, "op_residual": residual})
-    return out
+    return ([o for o in out if isinstance(o, EigenvalueRecord)],
+            [o for o in out if isinstance(o, dict)])
 
 
 def find_roots(
@@ -376,7 +380,7 @@ def find_roots(
     degenerate phases. A run stops once its step is at most refine_tol; it
     is a root iff it then lies within IM_TOL of the real axis. Runs that
     meet an undefined chi end as non-roots, and roots closer than 1e-9 are
-    merged. The roots are certified together (_make_record): their eigenvectors
+    merged. The roots are certified together (_certify): their eigenvectors
     lifted side by side and stepped by the direct simulator in a few passes.
     """
     if grid_n < 1000:
@@ -402,29 +406,16 @@ def find_roots(
             merged.append(lam)
     if len(merged) > 1 and angle_dist(merged[0], merged[-1]) <= 1e-9:
         merged.pop()
-    # a simple root has |chi| growing linearly off it; an anomalously small
-    # slope would hint at a tangential (double) zero
-    delta = max(1e-7, 10.0 * refine_tol)
-    roots = np.array(merged)
-    at, plus, minus = np.split(np.abs(chi_at(np.concatenate([roots, roots + delta,
-                                                             roots - delta]))), 3)
     # certify every root whose real part lies on the arcs, the tails and the
     # window chain computed for all of them at once
-    keep = ~np.isnan(at)
-    roots, at, slopes = roots[keep], at[keep], ((plus + minus) / (2.0 * delta))[keep]
+    roots = np.array(merged)
+    at = np.abs(chi_at(roots))
+    roots, at = roots[~np.isnan(at)], at[~np.isnan(at)]
     chains, zg, zl, _ = _chains(field, roots)
     candidates = [(lam, field.x_minus, chains[:, k], zg[k], zl[k])
                   for k, lam in enumerate(roots.tolist())]
-    records: list[EigenvalueRecord] = []
-    outcomes = _make_record(field, candidates)
-    for k, ((lam, _, _, *rates), outcome) in enumerate(zip(candidates, outcomes)):
-        if slopes[k] < 1e-3:
-            diagnostics.append({"kind": "shallow-root", "lambda": lam, "slope": float(slopes[k])})
-        if isinstance(outcome, dict):
-            diagnostics.append(outcome)
-        else:
-            records.append(EigenvalueRecord(lam, float(at[k]), *rates, *outcome, "chi-root"))
-    return RootScan(records, diagnostics)
+    records, rejected = _certify(field, candidates, "chi-root", at.tolist())
+    return RootScan(records, diagnostics + rejected)
 
 
 # --- adjudication of the degenerate phases ---------------------------------
@@ -457,7 +448,7 @@ def lambda0_adjudicate(field: CoinField,
     each later one starts a site past a break. A chain is viable iff F at its end
     lands on the direction required there (the right tail's, for the last). The
     record is a compact bump beyond the window (c_plus's, then c_minus's), else
-    the leftmost viable chain; one _make_record call certifies them all. A
+    the leftmost viable chain; one _certify call certifies them all. A
     rejection is logged, and appended to diagnostics if given a list.
     """
     lams = np.array(lambda0_set(field))
@@ -493,13 +484,10 @@ def lambda0_adjudicate(field: CoinField,
         if solutions:
             candidates.append((lam, *solutions[0]))
             rates.append((rate_left[k], rate_right[k]))
-    records: list[EigenvalueRecord] = []
-    outcomes = _make_record(field, candidates, rates) if candidates else []
-    for (lam, _, _, *rates), outcome in zip(candidates, outcomes):
-        if isinstance(outcome, dict):
-            log.warning("degenerate-phase candidate at lam=%.12f rejected: %s", lam, outcome)
-            if diagnostics is not None:
-                diagnostics.append(outcome)
-        else:
-            records.append(EigenvalueRecord(lam, 0.0, *rates, *outcome, "lambda0-compact"))
+    records, rejected = (_certify(field, candidates, "lambda0-compact", tail_rates=rates)
+                         if candidates else ([], []))
+    for d in rejected:
+        log.warning("degenerate-phase candidate at lam=%.12f rejected: %s", d["lambda"], d)
+    if diagnostics is not None:
+        diagnostics += rejected
     return records

@@ -116,7 +116,8 @@ def test_roots_reports_a_rejected_degenerate_phase(tmp_path, monkeypatch):
 
 
 def test_roots_writes_a_nan_residual_as_null(tmp_path, monkeypatch):
-    monkeypatch.setattr("qw3.spectral.operator_residual", lambda *args: float("nan"))
+    monkeypatch.setattr("qw3.spectral.operator_residual",
+                        lambda field, lams, psis: np.full(len(psis), np.nan))
     out = tmp_path / "roots.json"
     code = main(["roots", "--model", "one-defect", "--theta", "0.2617993877991494",
                  "--out", str(out)])
@@ -134,7 +135,8 @@ def test_roots_writes_a_nan_residual_as_null(tmp_path, monkeypatch):
 @pytest.mark.parametrize("value", [float("inf"), -float("inf")])
 def test_roots_writes_an_infinite_residual_as_null(tmp_path, monkeypatch, value):
     # inf fails the certificate and -inf passes it; either is written as null
-    monkeypatch.setattr("qw3.spectral.operator_residual", lambda *args: value)
+    monkeypatch.setattr("qw3.spectral.operator_residual",
+                        lambda field, lams, psis: np.full(len(psis), value))
     out = tmp_path / "roots.json"
     code = main(["roots", "--model", "one-defect", "--theta", "0.2617993877991494",
                  "--out", str(out)])

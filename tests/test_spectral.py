@@ -851,7 +851,9 @@ def test_rejected_candidates_are_reported(monkeypatch, caplog):
 
 
 def test_nan_residual_fails_the_certificate(monkeypatch):
-    monkeypatch.setattr("qw3.spectral.operator_residual", lambda *args: float("nan"))
+    # one NaN per state, as operator_residual returns for a list of states
+    monkeypatch.setattr("qw3.spectral.operator_residual",
+                        lambda field, lams, psis: np.full(len(psis), np.nan))
     scan = find_roots(preset_field("one-defect", 0))
     assert scan.records == []
     assert [d["kind"] for d in scan.diagnostics] == ["residual-violation"] * 3
