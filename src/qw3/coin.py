@@ -191,7 +191,7 @@ def _coin_entries(node: object, where: str) -> list:
         if phase:
             try:
                 coin = phase_scale(coin, float(phase))
-            except ConfigError as exc:
+            except (ConfigError, OverflowError) as exc:  # an int past float's range
                 raise ConfigError(f"{where}: {exc}") from None
         return coin.mat.view(float).ravel().tolist()
     if "rows" in node:
@@ -206,7 +206,10 @@ def _coin_entries(node: object, where: str) -> list:
             raise ConfigError(f"{where}: rows must be a 3x3 nesting of [re, im] pairs")
         if (shape := (len(rows), *map(len, rows[:1]))) != (3, 3):
             raise ConfigError(f"{where}: rows must be 3x3, got {shape}")
-        return flat
+        try:
+            return [float(v) for v in flat]
+        except OverflowError:
+            raise ConfigError(f"{where}: rows entry too large for a float") from None
     raise ConfigError(f"{where}: coin needs either 'preset' or 'rows'")
 
 
@@ -246,7 +249,7 @@ def parse_field_config(source: str | dict) -> CoinField:
     if isinstance(source, str):
         try:
             doc = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # too many digits, or too deep
             raise ConfigError(f"config is not valid JSON: {exc}") from None
     else:
         doc = source

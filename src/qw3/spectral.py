@@ -307,16 +307,18 @@ def build_eigenvector(field: CoinField, lam: float) -> StateVector:
     return _lift(field, [(lam, field.x_minus, chains[:, 0], zg[0], zl[0])])[0]
 
 
-def _secant(f, x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, tol: float):
+def _secant(f, x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, tol: float, bound: float):
     """Complex secant iterations from every pair (x0_k, x1_k) in lockstep, in place.
 
     f maps an array of complex points to an array of values, NaN where it is
     undefined; f0 holds its values at x0. A run converges once its step is at
-    most tol, and fails where it meets an undefined value or two equal ones.
-    Returns the end points, which runs converged, and which still ran at the cap.
+    most tol, fails where it meets an undefined value or two equal ones, and
+    escapes, before f is evaluated there, at a new point with |Im| not <= bound.
+    Returns the end points, which runs converged, which still ran at the cap
+    and which escaped.
     """
     f1 = f(x1)
-    converged = np.zeros(x1.shape, dtype=bool)
+    converged, escaped = np.zeros(x1.shape, dtype=bool), np.zeros(x1.shape, dtype=bool)
     running = ~np.isnan(f0) & ~np.isnan(f1)
     for _ in range(_SECANT_MAX_ITER):
         k = np.flatnonzero(running)
@@ -329,12 +331,12 @@ def _secant(f, x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, tol: float):
         x0[k], f0[k] = x1[k], f1[k]
         x1[k] -= step
         done = np.abs(step) <= tol
-        converged[k[done]] = True
-        running[k[done]] = False
-        k = k[~done]
+        out = ~done & ~(np.abs(x1[k].imag) <= bound)
+        converged[k[done]], escaped[k[out]], running[k[done | out]] = True, True, False
+        k = k[~done & ~out]
         f1[k] = f(x1[k])
         running[k] = ~np.isnan(f1[k])
-    return x1, converged, running
+    return x1, converged, running, escaped
 
 
 def _certify(field: CoinField, candidates: list, source: str, chis: list | None = None,
@@ -364,8 +366,7 @@ def _certify(field: CoinField, candidates: list, source: str, chis: list | None 
                                        psi, residual, source)
                       if residual <= RESIDUAL_TOL else  # NaN fails too
                       {"kind": "residual-violation", "lambda": lam, "op_residual": residual})
-    return ([o for o in out if isinstance(o, EigenvalueRecord)],
-            [o for o in out if isinstance(o, dict)])
+    return [o for o in out if not isinstance(o, dict)], [o for o in out if isinstance(o, dict)]
 
 
 def find_roots(
@@ -379,9 +380,11 @@ def find_roots(
     says a transfer matrix cannot be built; no wider band is cut around the
     degenerate phases. A run stops once its step is at most refine_tol; it
     is a root iff it then lies within IM_TOL of the real axis. Runs that
-    meet an undefined chi end as non-roots, and roots closer than 1e-9 are
-    merged. The roots are certified together (_certify): their eigenvectors
-    lifted side by side and stepped by the direct simulator in a few passes.
+    meet an undefined chi end as non-roots. A run escapes past |Im| =
+    min(8, 400 / (sites + 1)), chi unasked there: the site loop grows like
+    e^{|Im| (sites + 1)}. Roots closer than 1e-9 are merged and certified
+    together (_certify), their eigenvectors lifted side by side and stepped
+    by the direct simulator in a few passes.
     """
     if grid_n < 1000:
         raise ValueError("grid_n must be at least 1000")
@@ -395,11 +398,15 @@ def find_roots(
     def chi_at(z: np.ndarray) -> np.ndarray:
         return chi_batch(field, z)[0]
 
+    escape = min(8.0, 400.0 / (len(field.defects) + 1))
     x0 = lams[minima].astype(complex)
     # the grid's values at x0 are the bits a fresh call would return
-    xs, converged, stalled = _secant(chi_at, x0, values[minima], x0 + TAU / grid_n / 4, refine_tol)
+    xs, converged, stalled, escaped = _secant(chi_at, x0, values[minima],
+                                              x0 + TAU / grid_n / 4, refine_tol, escape)
     diagnostics: list[dict] = [{"kind": "refine-nonconverged", "lambda": float(wrap_phase(x.real))}
                                for x in xs[stalled]]
+    diagnostics += [{"kind": "refine-escaped", "lambda": float(wrap_phase(x.real)),
+                     "lambda_imag": float(x.imag)} for x in xs[escaped]]
     merged: list[float] = []
     for lam in np.sort(wrap_phase(xs[converged & (np.abs(xs.imag) <= IM_TOL)].real)):
         if not merged or angle_dist(lam, merged[-1]) > 1e-9:

@@ -272,6 +272,15 @@ def test_config_file_and_errors(tmp_path, capsys):
     assert main(["validate", "--config", str(degenerate)]) == 2
 
 
+def test_validate_rejects_a_rows_int_past_float_range(tmp_path, capsys):
+    rows = [[[10**400 if i == j == 0 else float(i == j), 0] for j in range(3)] for i in range(3)]
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"model": "one-defect", "bulk": {"preset": "fourier"},
+                               "origin": {"rows": rows}}))
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert "origin: rows entry too large for a float" in capsys.readouterr().err
+
+
 def test_scan_deterministic_bytes(tmp_path):
     args = ["scan", "--model", "two-phase", "--theta", "0.7853981633974483",
             "--grid", "1200"]

@@ -229,6 +229,20 @@ def general_form(**overrides):
                  "c_plus: unknown preset ['fourier']", id="preset-not-a-name"),
     pytest.param(lambda: parse_field_config(general_form(c_minus={"rows": "abc"})),
                  "c_minus: rows must be a 3x3 nesting of [re, im] pairs", id="rows-string-itself"),
+    pytest.param(lambda: parse_field_config(general_form(
+        defects=[FOURIER, {"rows": [[[10**400, 0], [0, 0], [0, 0]]] * 3}])),
+                 "defects[1]: rows entry too large for a float", id="rows-int-past-float"),
+    pytest.param(lambda: parse_field_config(json.dumps(general_form(
+        c_plus={"rows": [[[0, 0], [0, 0], [-10**400, 0]]] * 3}))),
+                 "c_plus: rows entry too large for a float", id="rows-negative-int-past-float"),
+    pytest.param(lambda: parse_field_config(
+        {"model": "one-defect", "bulk": FOURIER, "origin": {"preset": "grover", "phase": 10**400}}),
+                 "origin: int too large to convert to float", id="phase-int-past-float"),
+    pytest.param(lambda: parse_field_config('{"model": "homogeneous", "coin": {"preset": '
+                                            '"fourier", "phase": ' + "9" * 5000 + "}}"),
+                 "config is not valid JSON: Exceeds the limit", id="json-int-too-long"),
+    pytest.param(lambda: parse_field_config("[" * 100_000),
+                 "config is not valid JSON: maximum recursion depth", id="json-too-deep"),
 ])
 def test_outside_input_errors_name_the_fault(build, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

@@ -208,6 +208,23 @@ def test_find_roots_rejects_a_nan_tolerance():
         find_roots(preset_field("one-defect", 0), refine_tol=float("nan"))
 
 
+def test_a_secant_run_far_off_the_axis_escapes_before_chi(monkeypatch):
+    # seed-27 wide field 10 (23 sites): one run steps to Im x ~ -30, where the
+    # site loop overflows; it stops there, chi unasked, and is reported
+    field, asked = bench_wide_field(27, 10), []
+
+    def spy(field, lams):
+        asked.append(np.abs(np.imag(lams)).max(initial=0.0))
+        return chi_batch(field, lams)
+
+    monkeypatch.setattr("qw3.spectral.chi_batch", spy)
+    scan = find_roots(field)
+    assert max(asked) <= 8.0
+    (d,) = scan.diagnostics
+    assert d["kind"] == "refine-escaped" and abs(d["lambda_imag"]) > 8.0
+    assert 0.0 <= d["lambda"] < TAU and len(scan.records) == 38
+
+
 def test_lambda0_set_keeps_the_first_seen_phase_of_a_cluster():
     # F and F e^{i 2pi} share a degenerate phase to within an ulp; of such a
     # cluster the first seen of c_minus, c_plus, then the defects is kept

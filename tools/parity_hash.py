@@ -32,6 +32,10 @@ amplitudes, source), both diagnostics lists, chi_batch at grid 4000
 code, the output file's bytes and its manifest without `wall_time_s`. Two
 checkouts agree bit for bit on a group iff its digests match. Each checkout
 runs in its own process.
+
+Given two or more checkouts, it ends with a verdict: one `equal` or
+`differs` line per group, and exit code 1 if any group differs (or is
+missing from a checkout).
 """
 
 from __future__ import annotations
@@ -192,12 +196,29 @@ def main(argv: list[str]) -> int:
         return 0
     seeds = [f"--wide-seeds={args.wide_seeds.start}-{args.wide_seeds.stop - 1}"
              ] if args.wide_seeds else []
+    runs: list[dict[str, str]] = []
     for checkout in args.checkouts:
         print(f"# {checkout}", flush=True)
-        code = subprocess.call([sys.executable, __file__, "--inside", *seeds, checkout])
-        if code:
-            return code
-    return 0
+        runs.append({})
+        with subprocess.Popen([sys.executable, __file__, "--inside", *seeds, checkout],
+                              stdout=subprocess.PIPE, text=True) as proc:
+            for line in proc.stdout:
+                print(line, end="", flush=True)
+                name, digest = line.split()[:2]
+                runs[-1][name] = digest
+        if proc.returncode:
+            return proc.returncode
+    return verdict(runs) if len(runs) > 1 else 0
+
+
+def verdict(runs: list[dict[str, str]]) -> int:
+    """Print, per group, whether every checkout's digest is the first's; 1 if any differs."""
+    print("# verdict", flush=True)
+    names = list(dict.fromkeys(name for run in runs for name in run))
+    differs = [name for name in names if len({run.get(name) for run in runs}) > 1]
+    for name in names:
+        print(f"{name:9s} {'differs' if name in differs else 'equal'}", flush=True)
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
