@@ -22,17 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coin import (
-    CoinField,
-    PRESETS,
-    ConfigError,
-    field_homogeneous,
-    field_one_defect,
-    field_two_phase,
-    parse_field_config,
-    phase_scale,
-    serialize_field,
-)
+from .coin import CoinField, PRESETS, ConfigError, parse_field_config, serialize_field
 from .evolution import SimulationError, StateVector, default_initial_state, evolve
 from .linalg import TAU, angle_dist
 from .spectral import (
@@ -82,13 +72,10 @@ def _resolve_field(args: argparse.Namespace) -> CoinField:
             raise ConfigError(f"cannot read --config {args.config}: {exc}") from None
     if args.model is None:
         raise ConfigError("provide either --config or --model")
-    base = PRESETS[args.coin]()
-    shifted = phase_scale(base, args.theta) if args.theta else base
-    if args.model == "one-defect":
-        return field_one_defect(base, shifted)
-    if args.model == "two-phase":
-        return field_two_phase(base, shifted)
-    return field_homogeneous(shifted)
+    base, shifted = ({"preset": args.coin, "phase": phase} for phase in (0.0, args.theta))
+    coins = {"one-defect": {"bulk": base, "origin": shifted},
+             "two-phase": {"left": base, "right": shifted}}.get(args.model, {"coin": shifted})
+    return parse_field_config({"model": args.model, **coins})
 
 
 def _out_path(args: argparse.Namespace) -> Path:

@@ -15,10 +15,6 @@ import numpy as np
 
 TAU = 2.0 * np.pi
 
-# Relative threshold below which tr^2 - 4 det is treated as zero and the
-# 2x2 eigenproblem reported as degenerate.
-DEGENERATE_TOL = 1e-12
-
 
 def angle_dist(a, b):
     """Distance between two phases on the circle, in [0, pi], elementwise on arrays."""
@@ -48,12 +44,11 @@ def branch_sqrt(a):
 
 
 class Eig2(NamedTuple):
-    """One eigenpair per matrix of a stack of shape s: the eigenvalue zeta (s),
-    its unnormalised eigenvector v (s + (2,)) and the degenerate flag (s)."""
+    """One eigenpair per matrix of a stack of shape s: the eigenvalue zeta (s)
+    and its unnormalised eigenvector v (s + (2,))."""
 
     zeta: np.ndarray
     v: np.ndarray
-    degenerate: np.ndarray
 
 
 def _norm(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
@@ -73,24 +68,18 @@ def eig2_batch(m00, m01, m10, m11, greater) -> Eig2:
     as well conditioned, and left unnormalised, so that it is analytic in the
     entries wherever zeta is. (Where the two rows tie, as they do for every
     phase of the Fourier coin, picking the larger one would switch rows on
-    rounding noise, and the vector would jump by a unit factor.) degenerate
-    is set for a (numerically) repeated eigenvalue, and where even the chosen
-    row is negligible; the vector is then [1, 0].
+    rounding noise, and the vector would jump by a unit factor.) The two
+    eigenvalues must be distinct, as they are for a transfer matrix on the
+    arcs (|tr| > 2 with |det| = 1, so the moduli split); at a repeated one
+    the chosen row may vanish, and v with it.
     """
     tr = m00 + m11
-    det = m00 * m11 - m01 * m10
-    disc = tr * tr - 4.0 * det
-    degenerate = np.abs(disc) <= DEGENERATE_TOL * np.maximum(1.0, np.abs(tr) ** 2)
-    s = branch_sqrt(disc)
+    s = branch_sqrt(tr * tr - 4.0 * (m00 * m11 - m01 * m10))
     zp, zm = 0.5 * (tr + s), 0.5 * (tr - s)
     zeta = np.where((np.abs(zp) > np.abs(zm)) == greater, zp, zm)
-    floor = 1e-14 * np.maximum(1.0, np.abs([m00, m01, m10, m11]).max(axis=0))
     r0, r1 = zeta - m00, zeta - m11
-    n1, n2 = _norm(m01, r0), _norm(r1, m10)
-    first = 2.0 * n1 >= n2
-    ok = np.where(first, n1, n2) > floor
-    v = np.stack([np.where(first, m01, r1), np.where(first, r0, m10)], axis=-1)
-    return Eig2(zeta, np.where(ok[..., None], v, [1.0, 0.0]), degenerate | ~ok)
+    first = 2.0 * _norm(m01, r0) >= _norm(r1, m10)
+    return Eig2(zeta, np.stack([np.where(first, m01, r1), np.where(first, r0, m10)], axis=-1))
 
 
 def norm(v: np.ndarray):

@@ -100,10 +100,11 @@ def asymptotic_spectrum(field: CoinField, el: np.ndarray) -> list[tuple[np.ndarr
     Returns [c_minus's, c_plus's] as (zeta, v, in_lambda, zero): the
     eigenpair that decays away from the window, c_minus's growing one and
     c_plus's decaying one, as eig2_batch gives it; in_lambda, the open
-    condition |tr| > 2 + TR_TOL under which the moduli split strictly and
-    decaying tails exist; and transfer_rows' mask. Off in_lambda's |tr|
-    condition, or where the mask holds, zeta is 0 and v is [1, 0]. One coin
-    on both half-lines is solved once, both pairs from one eig2_batch call.
+    condition |tr| > 2 + TR_TOL under which the moduli split strictly (as
+    eig2_batch requires) and decaying tails exist; and transfer_rows' mask.
+    Off in_lambda's |tr| condition, or where the mask holds, zeta is 0 and v
+    is [1, 0]. One coin on both half-lines is solved once, both pairs from
+    one eig2_batch call.
     """
     table = field.transfer_table
     same = table[:, 0].tobytes() == table[:, -1].tobytes()
@@ -116,10 +117,7 @@ def asymptotic_spectrum(field: CoinField, el: np.ndarray) -> list[tuple[np.ndarr
             rows, in_lambda, zero = np.array([[0], [1]]), in_lambda.repeat(2, 0), zero.repeat(2, 0)
         zeta, v = np.zeros(zero.shape, dtype=complex), np.zeros((*zero.shape, 2), dtype=complex)
         v[..., 0] = 1.0
-        zeta[rows, cols], v[rows, cols], degenerate = eig2_batch(*t, rows + a == 0)  # 0: c_minus
-        # |tr| > 2 with unit |det| already rules out a repeated eigenvalue; the
-        # explicit check keeps a defective pair out of the arcs regardless
-        in_lambda[rows, cols] = ~degenerate
+        zeta[rows, cols], v[rows, cols] = eig2_batch(*t, rows + a == 0)  # 0: c_minus
         out += [(zeta[k], v[k], in_lambda[k], zero[k]) for k in range(len(zero))]
     return out
 

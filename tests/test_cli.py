@@ -39,8 +39,11 @@ def test_validate_counts_distinct_coins_equating_signed_zeros(tmp_path, capsys):
 
 
 def test_validate_rejects_non_finite_theta(capsys):
-    assert main(["validate", "--model", "one-defect", "--theta", "inf"]) == 2
-    assert "phase must be finite, got inf" in capsys.readouterr().err
+    # --model builds its config and names the coin's place, as a config file does
+    for model, place in (("one-defect", "origin"), ("two-phase", "right"), ("homogeneous", "coin")):
+        assert main(["validate", "--model", model, "--theta", "inf"]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {place}: phase must be finite, got inf\n")
 
 
 def test_validate_requires_model_or_config():

@@ -42,11 +42,10 @@ def test_branch_sqrt_half_plane_image(rng):
 
 def eig2(m: np.ndarray):
     """eig2_batch on one 2x2 matrix, asked for each pair: eigenvalues and unit
-    eigenvectors ordered by modulus, and whether either pair is degenerate."""
+    eigenvectors ordered by modulus."""
     less, greater = (eig2_batch(*np.asarray(m, dtype=complex).reshape(4, 1), g)
                      for g in (False, True))
-    return (less.zeta[0], greater.zeta[0], unit(less.v[0]), unit(greater.v[0]),
-            bool(less.degenerate[0] | greater.degenerate[0]))
+    return less.zeta[0], greater.zeta[0], unit(less.v[0]), unit(greater.v[0])
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -58,39 +57,23 @@ def stacked(matrices: list[np.ndarray]) -> list[np.ndarray]:
     return list(np.array(matrices).reshape(-1, 4).T)
 
 
-def test_eig2_identity():
-    z_less, z_greater, v_less, _, degenerate = eig2(np.eye(2, dtype=complex))
-    assert abs(z_less - 1) < 1e-14
-    assert abs(z_greater - 1) < 1e-14
-    assert degenerate
-    # any orthonormal pair is acceptable
-    assert abs(np.vdot(v_less, v_less) - 1) < 1e-14
-
-
 def test_eig2_diagonal():
-    z_less, z_greater, v_less, v_greater, degenerate = eig2(np.diag([2.0, 0.5]).astype(complex))
+    z_less, z_greater, v_less, v_greater = eig2(np.diag([2.0, 0.5]).astype(complex))
     assert abs(z_greater - 2.0) < 1e-14
     assert abs(z_less - 0.5) < 1e-14
     assert abs(abs(v_greater[0]) - 1) < 1e-12 and abs(v_greater[1]) < 1e-12
     assert abs(v_less[0]) < 1e-12 and abs(abs(v_less[1]) - 1) < 1e-12
-    assert not degenerate
 
 
 def test_eig2_swap_matrix():
     # [[0,1],[1,0]] has eigenvalues +/-1 with eigenvectors along [1, +/-1];
     # their moduli tie, so the + branch comes first
-    z_less, z_greater, v_less, v_greater, _ = eig2(
+    z_less, z_greater, v_less, v_greater = eig2(
         np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     assert abs(z_less - 1.0) < 1e-14
     assert abs(z_greater + 1.0) < 1e-14
     assert abs(cross2(v_less, np.array([1.0, 1.0]) / np.sqrt(2))) < 1e-12
     assert abs(cross2(v_greater, np.array([1.0, -1.0]) / np.sqrt(2))) < 1e-12
-
-
-def test_eig2_defective_reports_flag():
-    _, _, v_less, v_greater, degenerate = eig2(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
-    assert degenerate
-    assert abs(cross2(v_less, v_greater)) < 1e-10
 
 
 def test_eig2_trace_det_reconstruction(rng):
@@ -108,12 +91,11 @@ def test_eig2_trace_det_reconstruction(rng):
 def test_eig2_eigenvector_residual(rng):
     ms = np.array([rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2000)])
     less, greater = (eig2_batch(*stacked(ms), g) for g in (False, True))
-    keep = ~(less.degenerate | greater.degenerate)
-    bound = 1e-10 * np.maximum(1.0, np.abs(ms).max(axis=(1, 2)))[keep]
+    bound = 1e-10 * np.maximum(1.0, np.abs(ms).max(axis=(1, 2)))
     for pair in (less, greater):
         v = unit(pair.v)
         r = np.einsum("kij,kj->ki", ms, v) - pair.zeta[:, None] * v
-        assert (np.linalg.norm(r, axis=1)[keep] <= bound).all()
+        assert (np.linalg.norm(r, axis=1) <= bound).all()
 
 
 def test_eig2_greater_picks_one_pair_per_matrix(rng):
@@ -130,13 +112,13 @@ def test_eig2_greater_picks_one_pair_per_matrix(rng):
 
 
 def test_eig2_unit_det_moduli_split_off_the_trace_band(rng):
-    # a transfer matrix has |det| = 1: where |tr| > 2 its pairs are never
-    # degenerate, and |zeta_less| < 1 < |zeta_greater| with product 1
+    # a transfer matrix has |det| = 1: where |tr| > 2 its eigenvalues are
+    # distinct, |zeta_less| < 1 < |zeta_greater| with product 1
     ms = np.array([rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4000)])
     ms /= np.sqrt(np.linalg.det(ms))[:, None, None]
     ms = ms[np.abs(np.trace(ms, axis1=1, axis2=2)) > 2.0 + 1e-9]
     less, greater = (eig2_batch(*stacked(ms), g) for g in (False, True))
-    assert len(ms) > 500 and not (less.degenerate | greater.degenerate).any()
+    assert len(ms) > 500
     small, large = np.abs(less.zeta), np.abs(greater.zeta)
     assert (small < 1.0).all() and (large > 1.0).all()
     assert (np.abs(small * large - 1.0) <= 1e-10 * large).all()

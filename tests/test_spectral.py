@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,9 +117,11 @@ def test_outside_arcs_both_rates_on_unit_circle(rng):
 
 
 def test_eigenpair_certification_inside_arcs(rng):
+    # 1000 random coins, then 50 phases each of Fourier and Grover phase-scaled at the four theta
+    scaled = [phase_scale(make(), t) for make in (make_fourier, make_grover) for t in THETAS]
     seen = 0
-    while seen < 1000:
-        c = random_coin(rng)
+    while seen < 1000 + 50 * len(scaled):
+        c = random_coin(rng) if seen < 1000 else scaled[(seen - 1000) // 50]
         lam = sample_valid(rng, c)
         z_less, z_greater, v_less, v_greater, in_lambda = spectrum_at(c, lam)
         if not in_lambda:
@@ -489,10 +493,10 @@ def mirrored(field):
                      tuple(swap(field.lookup(-y)) for y in range(lo, hi)))
 
 
-def _arc_edge_field():
-    rng = np.random.default_rng(20240817)
-    return CoinField(random_coin(rng), random_coin(rng), -6, 6,
-                     tuple(random_coin(rng) for _ in range(12)))
+def _random_window(seed, sites):
+    rng = np.random.default_rng(seed)
+    return CoinField(random_coin(rng), random_coin(rng), -(sites // 2), sites - sites // 2,
+                     tuple(random_coin(rng) for _ in range(sites)))
 
 
 @pytest.mark.parametrize("field", [
@@ -505,7 +509,7 @@ def _arc_edge_field():
     pytest.param(field_two_phase(make_fourier(), make_grover()), id="compact-bump"),
     # 8 roots, all in the dense spectrum; in the mirror the grid minimum of
     # 1.929675 falls on the arc-edge sample next to an off-arc one
-    pytest.param(_arc_edge_field(), id="arc-edge-miss"),
+    pytest.param(_random_window(20240817, 12), id="arc-edge-miss"),
     # wide windows whose mirror certified a different count while each
     # eigenvector was pushed forward through the whole window only
     *(pytest.param(bench_wide_field(3, i), id=f"wide-seed3-{i}") for i in (2, 4, 9, 15)),
@@ -520,6 +524,36 @@ def test_parity_mirror_has_the_same_spectrum(field):
     image_phases = [r.lam for r in lambda0_adjudicate(image)]
     assert len(phases) == len(image_phases)
     assert all(abs(a - b) <= 1e-12 for a, b in zip(phases, image_phases))
+
+
+def translated(field, k):
+    """The field moved k sites to the right: a walk conjugate to it by the
+    shift, so the same spectrum, with every eigenvector moved k sites."""
+    return CoinField(field.c_minus, field.c_plus, field.x_minus + k, field.x_plus + k,
+                     field.defects)
+
+
+@pytest.mark.parametrize("field, k", [
+    pytest.param(preset_field("one-defect", 0), -1, id="one-defect-theta0-by-1"),
+    *(pytest.param(bench_wide_field(seed, i), k, id=f"wide-seed{seed}-{i}-by{k}")
+      for seed, i in ((101, 0), (101, 7), (3, 4)) for k in (-5, 5)),
+    *(pytest.param(_random_window(seed, 6), k, id=f"random-{seed}-by{k}")
+      for seed in (1, 2) for k in (-3, 3)),
+])
+def test_translation_keeps_every_record_bit(field, k):
+    def spectrum(f):
+        scan = find_roots(f)
+        return scan.records + lambda0_adjudicate(f, scan.diagnostics), scan.diagnostics
+
+    records, diagnostics = spectrum(field)
+    image_records, image_diagnostics = spectrum(translated(field, k))
+    assert repr(image_diagnostics) == repr(diagnostics)  # repr: a NaN equals itself
+    assert len(image_records) == len(records) > 0
+    for r, s in zip(records, image_records):
+        assert (s.lam, s.chi_residual, s.zeta_left, s.zeta_right, s.op_residual, s.source) == (
+            r.lam, r.chi_residual, r.zeta_left, r.zeta_right, r.op_residual, r.source)
+        assert (s.eigvec.lo, s.eigvec.hi) == (r.eigvec.lo + k, r.eigvec.hi + k)
+        assert s.eigvec.amps.tobytes() == r.eigvec.amps.tobytes()
 
 
 def _dense_walk_operator(field, half_width):
@@ -879,3 +913,42 @@ def test_nan_residual_fails_the_certificate(monkeypatch):
     diagnostics = []
     assert lambda0_adjudicate(field_homogeneous(make_grover()), diagnostics) == []
     assert [d["kind"] for d in diagnostics] == ["residual-violation"]
+
+
+# the diagnostic kinds the README documents for `qw3 roots`
+DIAGNOSTIC_KINDS = {"refine-nonconverged", "refine-escaped", "marginal-decay",
+                    "residual-violation"}
+
+
+def drawn_field(rng):
+    """A field of the strategy below: a window of 1-32 sites, a quarter of them
+    phase-scaled Grover coins and the rest random, and each tail Fourier, a
+    phase-scaled Grover or a random coin."""
+    def tail():
+        kind = rng.integers(3)
+        if kind == 0:
+            return make_fourier()
+        return phase_scale(make_grover(), rng.uniform(0, TAU)) if kind == 1 else random_coin(rng)
+
+    sites = int(rng.integers(1, 33))
+    grover = set(rng.choice(sites, size=sites // 4, replace=False).tolist())
+    defects = tuple(phase_scale(make_grover(), rng.uniform(0, TAU)) if x in grover
+                    else random_coin(rng) for x in range(sites))
+    x_minus = -int(rng.integers(sites + 1))
+    return CoinField(tail(), tail(), x_minus, x_minus + sites, defects)
+
+
+def test_drawn_fields_end_in_certified_records_or_documented_diagnostics():
+    rng = np.random.default_rng(18)
+    for _ in range(100):
+        field = drawn_field(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # any numpy warning fails the field
+            scan = find_roots(field)
+            records = scan.records + lambda0_adjudicate(field, scan.diagnostics)
+        assert all(r.op_residual <= 1e-8 for r in records)
+        assert {d["kind"] for d in scan.diagnostics} <= DIAGNOSTIC_KINDS
+        for part in (scan.records, records[len(scan.records):]):
+            assert [r.lam for r in part] == sorted(r.lam for r in part)
+        lams = np.sort([r.lam for r in records])
+        assert (angle_dist(lams, np.roll(lams, 1)) > 1e-9).all() or len(lams) < 2

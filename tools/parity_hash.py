@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """sha256 digests of qw3's spectral output, to compare two checkouts bit for bit.
 
-    python3 tools/parity_hash.py [--wide-seeds A-B] <checkout> [<checkout> ...]
+    python3 tools/parity_hash.py [--wide-seeds LIST] <checkout> [<checkout> ...]
 
 For each checkout, imports its `src/qw3` and its `bench/workloads.py` and
 prints one digest per group of fields, with the counts behind it:
@@ -21,7 +21,8 @@ prints one digest per group of fields, with the counts behind it:
              eight presets and on the wide-windows fields of seeds 3 and 101
              (as `--config` files)
 
-`--wide-seeds A-B` adds the wide-windows fields of seeds A to B: one
+`--wide-seeds LIST` adds the wide-windows fields of the seeds in LIST, a
+comma list of seeds and ranges A-B such as `1-60,1193434553`: one
 `wide-<seed>` group for each seed not listed above, and their `--config`
 jobs to the cli group.
 
@@ -177,16 +178,23 @@ def _digest_cli(extra_seeds) -> None:
     print(f"{'cli':9s} {h.hexdigest()}  jobs={len(jobs)} {summary}", flush=True)
 
 
-def _seed_range(text: str) -> range:
-    first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
+def _seed_range(text: str) -> list[int]:
+    """The seeds of a comma list of seeds and ranges A-B, in order, each once."""
+    seeds: list[int] = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        if not (span := range(int(first), int(last or first) + 1)):
+            raise ValueError(f"empty seed range {part}")
+        seeds += span
+    return list(dict.fromkeys(seeds))
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("checkouts", nargs="+", metavar="checkout")
-    parser.add_argument("--wide-seeds", type=_seed_range, default=range(0), metavar="A-B",
-                        help="also digest the wide-windows fields of seeds A to B")
+    parser.add_argument("--wide-seeds", type=_seed_range, default=[], metavar="LIST",
+                        help="also digest the wide-windows fields of these seeds, "
+                        "a comma list of seeds and ranges A-B")
     parser.add_argument("--inside", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv[1:])
     if args.inside:
@@ -194,8 +202,7 @@ def main(argv: list[str]) -> int:
         sys.path[:0] = [str(root / "src"), str(root / "bench")]
         _digest_checkout(args.wide_seeds)
         return 0
-    seeds = [f"--wide-seeds={args.wide_seeds.start}-{args.wide_seeds.stop - 1}"
-             ] if args.wide_seeds else []
+    seeds = [f"--wide-seeds={','.join(map(str, args.wide_seeds))}"] if args.wide_seeds else []
     runs: list[dict[str, str]] = []
     for checkout in args.checkouts:
         print(f"# {checkout}", flush=True)
