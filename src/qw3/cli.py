@@ -311,6 +311,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # argparse reads a one-dash value other than a plain decimal (-1e-3, -inf) as an
+    # option, so a float flag takes such a token after it as FLAG=VALUE
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):
+        flag, value = argv[i - 1 : i + 1]
+        if flag in ("--theta", "--lambda", "--refine-tol") and value[:1] == "-" != value[1:2]:
+            argv[i - 1 : i + 1] = [f"{flag}={value}"]
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

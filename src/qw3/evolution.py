@@ -149,10 +149,11 @@ def _run(field: CoinField, psi0: StateVector, steps: int, horizon: int | None = 
     is the whole-window step's, bit for bit; rows outside the forward cone
     hold exact zeros, those outside the backward cone stale values."""
     i_lo, i_hi = _require_margin(psi0, steps)
-    cones = ((i_lo - t, i_hi + t) for t in range(1, steps + 1))
+    times = range(1, steps + 1)
+    cones = ((i_lo - t, i_hi + t) for t in times)
     if horizon is not None:
-        cones = ((max(a, t - horizon - psi0.lo), min(b, horizon - t - psi0.lo))
-                 for t, (a, b) in enumerate(cones, start=1))
+        o = -psi0.lo  # the origin's row
+        cones = ((max(i_lo - t, o - horizon + t), min(i_hi + t, o + horizon - t)) for t in times)
     return _steps(coin_stack(field, np.arange(psi0.lo, psi0.hi + 1)), psi0.amps, cones)
 
 
@@ -161,9 +162,11 @@ def evolve(field: CoinField, psi0: StateVector, steps: int) -> list[Distribution
     if steps < 0:
         raise ValueError("steps must be non-negative")
     out = [psi0.distribution(0)]
+    moduli = np.empty((3, len(psi0.amps)))  # |amps| of rows a..b in its first columns
     for t, (amps, a, b) in enumerate(_run(field, psi0, steps), start=1):
-        probs = np.zeros(amps.shape[1])
-        probs[a : b + 1] = (np.abs(amps[:, a : b + 1]) ** 2).sum(axis=0)
+        probs, cone = np.zeros(len(psi0.amps)), moduli[:, : b + 1 - a]
+        np.abs(amps[:, a : b + 1], out=cone)
+        np.einsum("ix,ix->x", cone, cone, out=probs[a : b + 1])
         out.append(Distribution(psi0.lo, psi0.hi, probs, t))
     return out
 
@@ -174,7 +177,9 @@ def time_averaged_origin(field: CoinField, psi0: StateVector, t_max: int) -> flo
         raise ValueError("t_max must be at least 1")
     if not psi0.lo <= 0 <= psi0.hi:
         raise ValueError("window must contain the origin")
-    acc = 0.0
-    for amps, _, _ in _run(field, psi0, t_max, horizon=t_max):
-        acc += float((np.abs(amps[:, -psi0.lo]) ** 2).sum())
-    return acc / t_max
+    origin = np.empty((t_max, 3), dtype=complex)
+    for t, (amps, _, _) in enumerate(_run(field, psi0, t_max, horizon=t_max)):
+        origin[t] = amps[:, -psi0.lo]
+    occupation = np.abs(origin)  # squared in place: one more temporary raised peak RSS
+    # cumsum adds the occupations in time order, one at a time
+    return float(np.cumsum(np.square(occupation, out=occupation).sum(axis=1))[-1]) / t_max

@@ -46,6 +46,27 @@ def test_validate_rejects_non_finite_theta(capsys):
             f"configuration error: {place}: phase must be finite, got inf\n")
 
 
+def test_theta_takes_a_dash_led_value(capsys):
+    # argparse alone reads -1e-3 and -inf as options ("expected one argument")
+    assert main(["validate", "--model", "one-defect", "--theta=-1e-3"]) == 0
+    joined = capsys.readouterr().out
+    assert main(["validate", "--model", "one-defect", "--theta", "-1e-3"]) == 0
+    assert capsys.readouterr().out == joined
+    assert main(["validate", "--model", "one-defect", "--theta", "-inf"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: origin: phase must be finite, got -inf\n")
+    with pytest.raises(SystemExit, match="2"):  # an option after it is no value
+        main(["validate", "--model", "one-defect", "--theta", "--coin", "grover"])
+    assert "argument --theta: expected one argument" in capsys.readouterr().err
+
+
+def test_refine_tol_takes_a_dash_led_value(tmp_path, capsys):
+    out = str(tmp_path / "roots.json")
+    assert main(["roots", "--model", "one-defect", "--refine-tol", "-1e-3", "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: --refine-tol must be positive, got -0.001\n")
+
+
 def test_validate_requires_model_or_config():
     assert main(["validate"]) == 2
 
@@ -367,6 +388,20 @@ def test_eigvec_matches_phase_modulo_two_pi(tmp_path, capsys):
     assert code == 2
     # the hint names the root that is nearest on the circle first
     assert f"nearest roots: {lam:.17g}" in capsys.readouterr().err
+
+
+def test_lambda_takes_a_dash_led_value(tmp_path):
+    model = ["--model", "one-defect", "--theta", repr(np.pi / 12)]
+    roots_path = tmp_path / "roots.json"
+    assert main(["roots", *model, "--out", str(roots_path)]) == 0
+    lam = json.loads(roots_path.read_text())["records"][0]["lambda"]
+    csvs = []
+    # the root one turn down, with an exponent: 18 digits give back the same float
+    for k, value in enumerate((f"--lambda={lam!r}", f"{lam - 2 * np.pi:.17e}")):
+        out = tmp_path / f"v{k}.csv"
+        assert main(["eigvec", *model, *(["--lambda"] * k), value, "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_roots_config_error_exit2(tmp_path, capsys):
