@@ -211,17 +211,26 @@ def test_apply_u_matches_reference_step(rng):
     assert np.array_equal(out.amps, reference_step(site_coins(field, -7, 7), amps))
 
 
-def whole_window_run(field, psi0, steps):
-    """Distributions at times 0..steps and the origin's time average, every
-    step taken over the whole window by reference_step (the reference the
-    light-cone run must reproduce bit for bit)."""
-    coins = site_coins(field, psi0.lo, psi0.hi)
-    dists, acc, amps = [psi0.distribution(0).probs], 0.0, psi0.amps
+def check_evolve_against_whole_window(field, psi0, steps):
+    """evolve's distributions equal, bit for bit, those of a run that takes
+    every step over the whole window by reference_step."""
+    coins, amps = site_coins(field, psi0.lo, psi0.hi), psi0.amps
+    got = evolve(field, psi0, steps)
+    assert len(got) == steps + 1
+    for t, d in enumerate(got):
+        if t:
+            amps = reference_step(coins, amps)
+        assert (d.lo, d.hi, d.time) == (psi0.lo, psi0.hi, t)
+        assert np.array_equal(d.probs, (np.abs(amps) ** 2).sum(axis=1)), t
+
+
+def whole_window_average(field, psi0, steps):
+    """The origin's time average over a run of whole-window reference steps."""
+    coins, amps, acc = site_coins(field, psi0.lo, psi0.hi), psi0.amps, 0.0
     for _ in range(steps):
         amps = reference_step(coins, amps)
-        dists.append((np.abs(amps) ** 2).sum(axis=1))
         acc += float((np.abs(amps[-psi0.lo]) ** 2).sum())
-    return dists, acc / steps
+    return acc / steps
 
 
 def state_at(lo, hi, sites, seed=0):
@@ -235,28 +244,49 @@ def state_at(lo, hi, sites, seed=0):
 DEFECT = field_one_defect(make_fourier(), phase_scale(make_fourier(), 7 * np.pi / 12))
 
 
-@pytest.mark.parametrize("field, psi0, steps", [
+# the dynamics benchmark's horizons (bench/workloads.py), each run on a
+# window of half-width horizon + 6
+EVOLVE_T, AVERAGE_T = 800, 1600
+
+
+def same(psi0, steps):
+    """evolve and time_averaged_origin both run from psi0 for steps."""
+    return (psi0, steps), (psi0, steps)
+
+
+@pytest.mark.parametrize("field, evolve_at, average_at", [
     *(pytest.param(build(make_fourier(), phase_scale(make_fourier(), th)),
-                   default_initial_state(206), 200, id=f"{build.__name__}-theta{i}")
+                   *same(default_initial_state(206), 200), id=f"{build.__name__}-theta{i}")
       for build in (field_one_defect, field_two_phase) for i, th in enumerate(THETAS)),
-    pytest.param(DEFECT, state_at(-80, 80, [30]), 40, id="off-origin"),
-    pytest.param(DEFECT, state_at(-80, 80, [-3, 4]), 40, id="two-site"),
-    pytest.param(DEFECT, state_at(-100, 100, [-45, 2, 3]), 40, id="wide-support"),
-    pytest.param(DEFECT, state_at(-200, 200, [150]), 40, id="unreachable-origin"),
-    pytest.param(DEFECT, default_initial_state(8), 1, id="one-step"),
-    pytest.param(DEFECT, state_at(-36, 99, [10, 11]), 40, id="asymmetric-window"),
+    *(pytest.param(build(make_fourier(), phase_scale(make_fourier(), THETAS[i])),
+                   (default_initial_state(EVOLVE_T + 6), EVOLVE_T),
+                   (default_initial_state(AVERAGE_T + 6), AVERAGE_T),
+                   id=f"benchmark-{build.__name__}-theta{i}")
+      for build, i in ((field_one_defect, 2), (field_two_phase, 3))),
+    pytest.param(DEFECT, *same(state_at(-80, 80, [30]), 40), id="off-origin"),
+    pytest.param(DEFECT, *same(state_at(-80, 80, [-3, 4]), 40), id="two-site"),
+    pytest.param(DEFECT, *same(state_at(-100, 100, [-45, 2, 3]), 40), id="wide-support"),
+    pytest.param(DEFECT, *same(state_at(-200, 200, [150]), 40), id="unreachable-origin"),
+    pytest.param(DEFECT, *same(default_initial_state(8), 1), id="one-step"),
+    pytest.param(DEFECT, *same(state_at(-36, 99, [10, 11]), 40), id="asymmetric-window"),
     # the support exactly steps + MARGIN sites from both window edges
-    pytest.param(DEFECT, state_at(-60, 70, [-20 + MARGIN, 30 - MARGIN]), 40, id="edge-to-edge"),
-    pytest.param(DEFECT, state_at(-10, 100, [30 + MARGIN]), 40, id="one-site-left-edge"),
+    pytest.param(DEFECT, *same(state_at(-60, 70, [-20 + MARGIN, 30 - MARGIN]), 40),
+                 id="edge-to-edge"),
+    pytest.param(DEFECT, *same(state_at(-10, 100, [30 + MARGIN]), 40), id="one-site-left-edge"),
 ])
-def test_light_cone_run_matches_whole_window(field, psi0, steps):
-    dists, average = whole_window_run(field, psi0, steps)
-    got = evolve(field, psi0, steps)
-    assert len(got) == len(dists)
-    for t, (d, ref) in enumerate(zip(got, dists)):
-        assert (d.lo, d.hi, d.time) == (psi0.lo, psi0.hi, t)
-        assert np.array_equal(d.probs, ref), t
-    assert time_averaged_origin(field, psi0, steps) == average
+def test_light_cone_run_matches_whole_window(field, evolve_at, average_at):
+    check_evolve_against_whole_window(field, *evolve_at)
+    assert time_averaged_origin(field, *average_at) == whole_window_average(field, *average_at)
+
+
+def test_each_distribution_owns_a_full_window_array():
+    psi0 = state_at(-30, 40, [3, 4])
+    dists = evolve(DEFECT, psi0, 20)
+    assert all((d.lo, d.hi, d.probs.shape) == (-30, 40, (71,)) for d in dists)
+    before = [d.probs.copy() for d in dists]
+    for k, d in enumerate(dists):
+        d.probs[:] = -1.0
+        assert all(np.array_equal(e.probs, b) for e, b in zip(dists[k + 1 :], before[k + 1 :]))
 
 
 def test_light_cone_run_zero_steps_and_unreachable_origin():

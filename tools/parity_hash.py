@@ -20,6 +20,10 @@ prints one digest per group of fields, with the counts behind it:
   cli        `qw3 roots` through `qw3.cli.main`, all in one process, on the
              eight presets and on the wide-windows fields of seeds 3 and 101
              (as `--config` files)
+  dynamics   the simulator on the eight presets, as the dynamics workload runs
+             it: every `evolve` distribution to t = 800 and the
+             `time_averaged_origin` to T = 1600, each on a window of the
+             horizon + 6; and `qw3 evolve --trajectory` on the first preset
 
 `--wide-seeds LIST` adds the wide-windows fields of the seeds in LIST, a
 comma list of seeds and ranges A-B such as `1-60,1193434553`: one
@@ -29,8 +33,9 @@ jobs to the cli group.
 A digest covers, per field: every find_roots and lambda0_adjudicate record
 (lambda, abs chi, both zetas, op_residual, eigenvector window and
 amplitudes, source), both diagnostics lists, chi_batch at grid 4000
-(values, in_lambda, near_lambda0) and lambda0_set; per cli job: the exit
-code, the output file's bytes and its manifest without `wall_time_s`. Two
+(values, in_lambda, near_lambda0) and lambda0_set; per distribution: its
+window, time and probabilities; per cli job: the exit code, the output
+file's bytes and its manifest without `wall_time_s`. Two
 checkouts agree bit for bit on a group iff its digests match. Each checkout
 runs in its own process.
 
@@ -150,11 +155,11 @@ def _digest_checkout(extra_seeds) -> None:
         summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         print(f"{name:9s} {h.hexdigest()}  fields={len(fields)} {summary}", flush=True)
     _digest_cli(extra_seeds)
+    _digest_dynamics()
 
 
 def _digest_cli(extra_seeds) -> None:
     """The cli group: every `qw3 roots` job through one process's `qw3.cli.main`."""
-    from qw3.cli import main
     from workloads import PRESETS, field_json, wide_fields
 
     h, counts = hashlib.sha256(), Counter()
@@ -167,15 +172,45 @@ def _digest_cli(extra_seeds) -> None:
                 jobs.append(["--config", str(config)])
         out = Path(tmp, "roots.json")
         for argv in jobs:
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main(["roots", *argv, "--grid", str(GRID), "--out", str(out)])
-            manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
-            del manifest["wall_time_s"]
-            h.update(b"%d" % code + out.read_bytes())
-            h.update(json.dumps(manifest, sort_keys=True).encode())
+            code = _cli_job(h, ["roots", *argv, "--grid", str(GRID)], out)
             counts[f"exit{code}"] += 1
     summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     print(f"{'cli':9s} {h.hexdigest()}  jobs={len(jobs)} {summary}", flush=True)
+
+
+def _cli_job(h, argv: list[str], out: Path) -> int:
+    """Run `qw3 <argv> --out out` in this process; hash its exit code, the
+    file's bytes and its manifest without `wall_time_s`."""
+    from qw3.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([*argv, "--out", str(out)])
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+    del manifest["wall_time_s"]
+    h.update(b"%d" % code + out.read_bytes())
+    h.update(json.dumps(manifest, sort_keys=True).encode())
+    return code
+
+
+def _digest_dynamics() -> None:
+    """The dynamics group: the simulator on the presets, at the benchmark's horizons."""
+    import numpy as np
+    from qw3.evolution import default_initial_state, evolve, time_averaged_origin
+    from workloads import AVERAGE_T, EVOLVE_T, PRESETS
+
+    h = hashlib.sha256()
+    psi_evolve = default_initial_state(EVOLVE_T + 6)
+    psi_average = default_initial_state(AVERAGE_T + 6)
+    for preset in PRESETS:
+        field = preset.field()
+        for d in evolve(field, psi_evolve, EVOLVE_T):
+            h.update(np.array([d.lo, d.hi, d.time], dtype=np.int64).tobytes() + d.probs.tobytes())
+        h.update(np.float64(time_averaged_origin(field, psi_average, AVERAGE_T)).tobytes())
+    with tempfile.TemporaryDirectory() as tmp:
+        code = _cli_job(h, ["evolve", *PRESETS[0].cli_args(), "--trajectory"],
+                        Path(tmp, "evolve.csv"))
+    print(f"{'dynamics':9s} {h.hexdigest()}  presets={len(PRESETS)} evolve_t={EVOLVE_T} "
+          f"average_t={AVERAGE_T} trajectory_exit={code}", flush=True)
 
 
 def _seed_range(text: str) -> list[int]:
