@@ -243,10 +243,21 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return cmd_evolve(args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse reads a one-dash token other than a plain decimal (-1e-3, -inf) as an
+    option; here every number is a value, for each flag and each --psi0 entry alike."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)  # a number: a value, so None (no option)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+
+
 @functools.cache  # built on the first main() call, then reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qw3", description="Spectral analysis and simulation "
-                                     "of three-state quantum walks on the integer lattice.")
+    parser = _Parser(prog="qw3", description="Spectral analysis and simulation "
+                     "of three-state quantum walks on the integer lattice.")
     parser.add_argument("--version", action="version", version=f"qw3 {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -311,13 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # argparse reads a one-dash value other than a plain decimal (-1e-3, -inf) as an
-    # option, so a float flag takes such a token after it as FLAG=VALUE
-    argv = list(sys.argv[1:] if argv is None else argv)
-    for i in reversed(range(1, len(argv))):
-        flag, value = argv[i - 1 : i + 1]
-        if flag in ("--theta", "--lambda", "--refine-tol") and value[:1] == "-" != value[1:2]:
-            argv[i - 1 : i + 1] = [f"{flag}={value}"]
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

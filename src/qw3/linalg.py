@@ -38,7 +38,7 @@ def branch_sqrt(a):
     sqrt(|a|) e^{i theta/2}, so the image always lies in the closed upper
     half-plane (argument in [0, pi)).
     """
-    theta = np.angle(a)
+    theta = np.arctan2(a.imag, a.real)  # np.angle, without its Python wrapper
     theta = np.where(theta < 0.0, theta + TAU, theta)
     return np.sqrt(np.abs(a)) * np.exp(0.5j * theta)
 
@@ -79,7 +79,9 @@ def eig2_batch(m00, m01, m10, m11, greater) -> Eig2:
     zeta = np.where((np.abs(zp) > np.abs(zm)) == greater, zp, zm)
     r0, r1 = zeta - m00, zeta - m11
     first = 2.0 * _norm(m01, r0) >= _norm(r1, m10)
-    return Eig2(zeta, np.stack([np.where(first, m01, r1), np.where(first, r0, m10)], axis=-1))
+    v = np.empty((*zeta.shape, 2), dtype=zeta.dtype)
+    v[..., 0], v[..., 1] = np.where(first, m01, r1), np.where(first, r0, m10)
+    return Eig2(zeta, v)
 
 
 def norm(v: np.ndarray):

@@ -57,9 +57,9 @@ _BLOCK = 4096
 
 def _blocks(table: np.ndarray, el: np.ndarray):
     """(first column, transfer_rows) of table's columns in blocks of at most _BLOCK elements."""
-    step = max(1, _BLOCK // max(len(el), 1))
+    step, inv = max(1, _BLOCK // max(len(el), 1)), 1.0 / el[None, :]
     for a in range(0, table.shape[1], step):
-        yield a, transfer_rows(table[:, a : a + step], el)
+        yield a, transfer_rows(table[:, a : a + step], el, inv)
 
 
 def _chain(field: CoinField, el: np.ndarray, v0, v1, x_from: int, x_to: int,
@@ -83,13 +83,13 @@ def _chain(field: CoinField, el: np.ndarray, v0, v1, x_from: int, x_to: int,
             det = np.where(zero, 1.0, t00 * t11 - t01 * t10)
             t00, t01, t10, t11 = t11 / det, -t01 / det, -t10 / det, t00 / det
         breaks = zero.any(axis=1).tolist()  # once per block, not a mask test per site
-        for k in range(len(zero)):
-            v0, v1 = t00[k] * v0 + t01[k] * v1, t10[k] * v0 + t11[k] * v1
-            if breaks[k]:
-                w = turns[a + k]
-                v0, v1 = np.where(zero[k], w[0], v0), np.where(zero[k], w[1], v1)
+        for k, r00, r01, r10, r11, brk in zip(range(a, a + len(zero)), t00, t01, t10, t11, breaks):
+            v0, v1 = r00 * v0 + r01 * v1, r10 * v0 + r11 * v1
+            if brk:
+                w = turns[k]
+                v0, v1 = np.where(zero[k - a], w[0], v0), np.where(zero[k - a], w[1], v1)
             if out is not None:
-                out[a + k, :, 0], out[a + k, :, 1] = v0, v1
+                out[k, :, 0], out[k, :, 1] = v0, v1
         masks.append(zero)
     return v0, v1, np.concatenate(masks)
 
@@ -278,19 +278,21 @@ def _chains(field: CoinField, lams: np.ndarray):
     grows in it. A chain is F up to the site j where min(|F_j|/max|F|,
     |B_j|/max|B|) peaks and B scaled by <B_j, F_j>/<B_j, B_j> beyond. Returns
     the chains at sites x_minus..x_plus (first axis), the left tail's
-    growing rate, the right tail's decaying one, and ok: both tails on the
-    arcs and every transfer matrix of the chain built.
+    growing rate, the right tail's decaying one, ok: both tails on the arcs
+    and every transfer matrix through x_plus built, and chi_batch's values,
+    from F pushed through x_plus (the same products), wherever ok holds.
     """
     el = np.exp(1j * lams)
     (z_left, left, in_left, _), (z_right, right, in_right, _) = asymptotic_spectrum(field, el)
-    f, zeros = _propagate(field, el, left, field.x_minus, field.x_plus)
+    f, zeros = _propagate(field, el, left, field.x_minus, field.x_plus + 1)
+    chi, f = f[-1, :, 0] * right[:, 1] - f[-1, :, 1] * right[:, 0], f[:-1]
     b = _propagate(field, el, right, field.x_minus, field.x_plus, backward=True)[0]
     nf, nb = np.linalg.norm(f, axis=-1), np.linalg.norm(b, axis=-1)
     j = np.argmax(np.minimum(nf / nf.max(axis=0), nb / nb.max(axis=0)), axis=0)
     fj, bj = f[j, np.arange(len(lams))], b[j, np.arange(len(lams))]
     scale = (bj.conj() * fj).sum(axis=-1) / (bj.conj() * bj).sum(axis=-1)
     chains = np.where((np.arange(len(f))[:, None] > j)[..., None], scale[:, None] * b, f)
-    return chains, z_left, z_right, in_left & in_right & ~zeros.any(axis=0)
+    return chains, z_left, z_right, in_left & in_right & ~zeros.any(axis=0), chi
 
 
 def build_eigenvector(field: CoinField, lam: float) -> StateVector:
@@ -301,7 +303,7 @@ def build_eigenvector(field: CoinField, lam: float) -> StateVector:
     construction find_roots certifies, so at a record's phase it returns the
     record's eigenvector.
     """
-    chains, zg, zl, ok = _chains(field, np.array([lam]))
+    chains, zg, zl, ok, _ = _chains(field, np.array([lam]))
     if not ok[0]:
         raise ValueError(f"lam={lam!r} lies outside the allowed arcs or where a "
                          "transfer matrix of the window cannot be built")
@@ -316,9 +318,9 @@ def _secant(f, x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, tol: float, bound
     most tol, fails where it meets an undefined value or two equal ones, and
     escapes, before f is evaluated there, at a new point with |Im| not <= bound.
     Returns the end points, which runs converged, which still ran at the cap
-    and which escaped.
+    and which escaped. f is asked only at a nonempty array of points.
     """
-    f1 = f(x1)
+    f1 = f(x1) if x1.size else x1.copy()
     converged, escaped = np.zeros(x1.shape, dtype=bool), np.zeros(x1.shape, dtype=bool)
     running = ~np.isnan(f0) & ~np.isnan(f1)
     for _ in range(_SECANT_MAX_ITER):
@@ -335,8 +337,9 @@ def _secant(f, x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, tol: float, bound
         out = ~done & ~(np.abs(x1[k].imag) <= bound)
         converged[k[done]], escaped[k[out]], running[k[done | out]] = True, True, False
         k = k[~done & ~out]
-        f1[k] = f(x1[k])
-        running[k] = ~np.isnan(f1[k])
+        if k.size:
+            f1[k] = f(x1[k])
+            running[k] = ~np.isnan(f1[k])
     return x1, converged, running, escaped
 
 
@@ -394,14 +397,10 @@ def find_roots(
     values = chi_batch(field, lams)[0]
     y = np.where(np.isnan(values), np.inf, np.abs(values))
     minima = np.flatnonzero((y < np.inf) & (y <= np.roll(y, 1)) & (y <= np.roll(y, -1)))
-
-    def chi_at(z: np.ndarray) -> np.ndarray:
-        return chi_batch(field, z)[0]
-
     x0 = lams[minima].astype(complex)
     # the grid's values at x0 are the bits a fresh call would return
-    xs, converged, stalled, escaped = _secant(chi_at, x0, values[minima], x0 + TAU / grid_n / 4,
-                                              refine_tol, _SECANT_ESCAPE)
+    xs, converged, stalled, escaped = _secant(lambda z: chi_batch(field, z)[0], x0, values[minima],
+                                              x0 + TAU / grid_n / 4, refine_tol, _SECANT_ESCAPE)
     diagnostics: list[dict] = [{"kind": "refine-nonconverged", "lambda": float(wrap_phase(x.real))}
                                for x in xs[stalled]]
     diagnostics += [{"kind": "refine-escaped", "lambda": float(wrap_phase(x.real)),
@@ -412,15 +411,15 @@ def find_roots(
             merged.append(lam)
     if len(merged) > 1 and angle_dist(merged[0], merged[-1]) <= 1e-9:
         merged.pop()
-    # certify every root whose real part lies on the arcs, the tails and the
-    # window chain computed for all of them at once
+    # certify every root where chi_batch is defined (ok, and a value not NaN), the
+    # tails, the window chain and |chi| computed for all of them at once
     roots = np.array(merged)
-    at = np.abs(chi_at(roots))
-    roots, at = roots[~np.isnan(at)], at[~np.isnan(at)]
-    chains, zg, zl, _ = _chains(field, roots)
+    chains, zg, zl, ok, chi = _chains(field, roots)
+    at = np.abs(chi)
+    keep = np.flatnonzero(ok & ~np.isnan(at))
     candidates = [(lam, field.x_minus, chains[:, k], zg[k], zl[k])
-                  for k, lam in enumerate(roots.tolist())]
-    records, rejected = _certify(field, candidates, "chi-root", at.tolist())
+                  for k, lam in zip(keep.tolist(), roots[keep].tolist())]
+    records, rejected = _certify(field, candidates, "chi-root", at[keep].tolist())
     return RootScan(records, diagnostics + rejected)
 
 

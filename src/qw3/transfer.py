@@ -49,7 +49,7 @@ def transfer_coefficients(mats: np.ndarray, det_phases) -> np.ndarray:
     return table
 
 
-def transfer_rows(table: np.ndarray, el: np.ndarray):
+def transfer_rows(table: np.ndarray, el: np.ndarray, inv: np.ndarray | None = None):
     """Closed-form transfer matrices of table's coins at an array of e^{i lam}.
 
     T = [[e^{i lam}(e^{i lam} - a22), -a13 e^{i lam} - e^{i Delta} conj(a31)],
@@ -60,7 +60,8 @@ def transfer_rows(table: np.ndarray, el: np.ndarray):
     away from the degenerate phases. For transfer_coefficients columns and
     el of shape (n,), returns the entries (t00, t01, t10, t11) and the mask
     where the divisor vanishes to ZERO_TOL (entries finite but meaningless),
-    each (coins, n); an entry's bits do not depend on the batch's shape.
+    each (coins, n); an entry's bits do not depend on the batch's shape. inv, if
+    given, is 1.0 / el[None, :], computed once by a caller streaming many tables.
     """
     a11, da33, tol, a22, ma13, da31, a31, da13, mdet, ca22 = table[:, :, None]
     # el as (1, n), never (n,): numpy multiplies a (1, 1) by a (1,) array in
@@ -68,9 +69,9 @@ def transfer_rows(table: np.ndarray, el: np.ndarray):
     e = el[None, :]
     num = a11 * e - da33
     zero = np.abs(num) <= tol.real
-    num = np.where(zero, 1.0, num)
+    num = np.where(zero, 1.0, num) if zero.any() else num
     return (e * (e - a22) / num, (ma13 * e - da31) / num, (a31 * e + da13) / num,
-            mdet * (1.0 / e - ca22) / num), zero
+            mdet * ((1.0 / e if inv is None else inv) - ca22) / num), zero
 
 
 def zero_case_vectors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

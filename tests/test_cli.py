@@ -469,6 +469,19 @@ def test_evolve_rejects_bad_initial_spinor(tmp_path, capsys):
         assert "--psi0 entries must be finite" in capsys.readouterr().err
 
 
+def test_psi0_entries_take_dash_led_values(tmp_path, capsys):
+    # each --psi0 entry reads a number as a value, as every float flag does
+    base = ["evolve", "--model", "one-defect", "--t", "5", "--psi0", "1", "0"]
+    csvs = []
+    for k, entry in enumerate(("-0.001", "-1e-3")):
+        out = tmp_path / f"e{k}.csv"
+        assert main(base + [entry, "0", "0", "0", "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+    assert main(base + ["-inf", "0", "0", "0", "--out", str(tmp_path / "e.csv")]) == 2
+    assert capsys.readouterr().err == "configuration error: --psi0 entries must be finite\n"
+
+
 def test_evolve_normalises_a_huge_initial_spinor(tmp_path):
     # the plain norm of this spinor overflows to inf
     out = tmp_path / "e.csv"

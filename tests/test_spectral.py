@@ -18,7 +18,9 @@ from qw3.linalg import TAU, angle_dist, eig2_batch
 from qw3.spectral import (
     TR_TOL,
     _SECANT_ESCAPE,
+    _chains,
     _propagate,
+    _secant,
     asymptotic_spectrum,
     build_eigenvector,
     chi_batch,
@@ -799,29 +801,52 @@ def test_batched_chi_matches_scalar_reference():
     assert (np.isnan(value[0]), inside[0], near[0]) == (True, False, False)
 
 
-@pytest.mark.parametrize("field", [
+CHI_FIELDS = [
     *(pytest.param(preset_field(model, i), id=f"{model}-{i}")
       for model in ("one-defect", "two-phase") for i in range(4)),  # two-phase: one site
     *(pytest.param(bench_wide_field(seed, i), id=f"wide-seed{seed}-{i}")
       for seed, i in ((101, 23), (101, 2), (3, 9))),
     pytest.param(field_two_phase(make_fourier(), make_grover()), id="grover-two-phase"),
-])
+]
+
+
+@pytest.mark.parametrize("field", CHI_FIELDS)
 def test_chi_batch_bits_do_not_depend_on_the_phases_asked(field):
     # the site loop's blocks hold one site of the full grid but the whole
     # window for a few phases, and the tails' eigenpairs are solved only on
-    # the arcs: none of this may change a value's bits
+    # the arcs: none of this may change a value's bits, at real phases or
+    # at complex ones near the axis, as the secant asks them
+    rng = np.random.default_rng(5)
+    scattered = np.sort(rng.choice(4000, 37, replace=False))
+    real = np.arange(4000) * (TAU / 4000)
+    for lams in (real, real + 1j * rng.uniform(-1e-3, 1e-3, 4000)):
+        full = chi_batch(field, lams)
+        tails = asymptotic_spectrum(field, np.exp(1j * lams))
+        inside = np.flatnonzero(full[1])
+        subsets = [inside[:1], inside[-1:], np.array([0]), inside[::97], inside[10:12],
+                   scattered, np.arange(0, 4000, 2), *scattered[:, None]]
+        for k in subsets:
+            for got, want in zip(chi_batch(field, lams[k]), full):
+                assert got.tobytes() == want[k].tobytes(), k
+            for got, want in zip(asymptotic_spectrum(field, np.exp(1j * lams[k])), tails):
+                assert all(g.tobytes() == w[k].tobytes() for g, w in zip(got, want)), k
+
+
+@pytest.mark.parametrize("field", CHI_FIELDS)
+def test_the_certification_chain_gives_chi_batch_bits(field):
+    # find_roots takes |chi| at its roots from _chains' forward push, and keeps
+    # the roots where _chains' ok holds: these must be chi_batch's values and
+    # chi_batch's defined set, bit for bit, over the grid and at every record
     lams = np.arange(4000) * (TAU / 4000)
-    full = chi_batch(field, lams)
-    tails = asymptotic_spectrum(field, np.exp(1j * lams))
-    inside = np.flatnonzero(full[1])
-    scattered = np.sort(np.random.default_rng(5).choice(4000, 37, replace=False))
-    subsets = [inside[:1], inside[-1:], np.array([0]), inside[::97], inside[10:12],
-               scattered, np.arange(0, 4000, 2), *scattered[:, None]]
-    for k in subsets:
-        for got, want in zip(chi_batch(field, lams[k]), full):
-            assert got.tobytes() == want[k].tobytes(), k
-        for got, want in zip(asymptotic_spectrum(field, np.exp(1j * lams[k])), tails):
-            assert all(g.tobytes() == w[k].tobytes() for g, w in zip(got, want)), k
+    values = chi_batch(field, lams)[0]
+    *_, ok, chi = _chains(field, lams)
+    assert (ok == ~np.isnan(values)).all()
+    assert chi[ok].tobytes() == values[ok].tobytes()
+    records = find_roots(field).records
+    chi = _chains(field, np.array([r.lam for r in records]))[-1]
+    for r, value in zip(records, chi):
+        alone = np.abs(chi_batch(field, np.array([r.lam]))[0])
+        assert np.abs(value).tobytes() == alone.tobytes() == np.float64(r.chi_residual).tobytes()
 
 
 @pytest.mark.parametrize("field", [
@@ -850,6 +875,56 @@ def test_find_roots_evaluates_no_grid_phase_twice(field, monkeypatch):
     # the values handed on are those a fresh call at the complex minima gives
     fresh = chi_batch(field, grid[minima].astype(complex))[0]
     assert fresh.tobytes() == values[minima].tobytes()
+
+
+@pytest.mark.parametrize("field", [
+    pytest.param(preset_field("one-defect", 2), id="one-defect-2"),
+    pytest.param(bench_wide_field(101, 23), id="wide-seed101-23"),
+])
+def test_find_roots_asks_chi_only_for_secant_steps_with_runs_left(field, monkeypatch):
+    # one grid call, then one call per lockstep secant step that some run still
+    # takes, never an empty one, and none at the roots: |chi| there comes from
+    # the certification chain (test_the_certification_chain_gives_chi_batch_bits)
+    import qw3.spectral
+
+    calls = []
+
+    def recorded(field, lams):
+        calls.append(len(lams))
+        return chi_batch(field, lams)
+
+    monkeypatch.setattr(qw3.spectral, "chi_batch", recorded)
+    records = find_roots(field).records
+    monkeypatch.undo()
+    grid = np.arange(4000) * (TAU / 4000)
+    values = chi_batch(field, grid)[0]
+    y = np.where(np.isnan(values), np.inf, np.abs(values))
+    minima = np.flatnonzero((y < np.inf) & (y <= np.roll(y, 1)) & (y <= np.roll(y, -1)))
+
+    def steps_alone(m):  # the chi calls of the run from minimum m, run by itself
+        asked = []
+        x0 = grid[m : m + 1].astype(complex)
+        _secant(lambda z: asked.append(z) or chi_batch(field, z)[0], x0, values[m : m + 1],
+                x0 + TAU / 4000 / 4, 1e-12, _SECANT_ESCAPE)
+        return len(asked)
+
+    # a run takes the steps alone that it takes in lockstep: chi's bits do not
+    # depend on the phases asked with it
+    assert records and calls[0] == 4000 and min(calls) > 0
+    assert len(calls) == 1 + max(steps_alone(m) for m in minima)
+
+
+def test_the_secant_asks_nothing_without_runs():
+    def f(z):
+        assert z.size
+        return z - 0.5
+
+    empty = np.zeros(0, dtype=complex)
+    xs, *flags = _secant(f, empty, empty.copy(), empty.copy(), 1e-12, _SECANT_ESCAPE)
+    assert xs.size == 0 and all(flag.size == 0 for flag in flags)
+    x0 = np.array([0.0, 3.0], dtype=complex)
+    xs, converged, stalled, escaped = _secant(f, x0, f(x0), x0 + 0.25, 1e-12, _SECANT_ESCAPE)
+    assert converged.all() and np.abs(xs - 0.5).max() <= 1e-15
 
 
 def test_field_tables_die_with_the_field():

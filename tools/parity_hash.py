@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """sha256 digests of qw3's spectral output, to compare two checkouts bit for bit.
 
-    python3 tools/parity_hash.py [--wide-seeds LIST] <checkout> [<checkout> ...]
+    python3 tools/parity_hash.py [--wide-seeds LIST] [--tolerant] <checkout> [<checkout> ...]
 
 For each checkout, imports its `src/qw3` and its `bench/workloads.py` and
 prints one digest per group of fields, with the counts behind it:
@@ -42,6 +42,15 @@ runs in its own process.
 Given two or more checkouts, it ends with a verdict: one `equal` or
 `differs` line per group, and exit code 1 if any group differs (or is
 missing from a checkout).
+
+`--tolerant` compares what a change that moves record bits on purpose must
+keep, in place of digests, on every group but `dynamics`. Per field (per job
+in `cli`): the record count; each lambda, matched to one of the first
+checkout's within 10 * refine_tol (1e-11) on the circle; the diagnostic
+kinds and their counts; and every op_residual against its checkout's
+RESIDUAL_TOL. After the verdict it lists each root gained or lost against
+the first checkout as (group, field, lambda), and each residual over its
+bound.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -58,6 +68,7 @@ from collections import Counter
 from pathlib import Path
 
 GRID = 4000
+REFINE_TOL = 1e-12
 WIDE_SEEDS = (3, 5, 101)
 
 
@@ -132,37 +143,58 @@ def _record_bytes(r) -> bytes:
             + r.source.encode())
 
 
-def _digest_checkout(extra_seeds) -> None:
+def _spectrum(lams, residuals, kinds) -> dict:
+    """What --tolerant compares of one field: its records' phases and op_residuals
+    and its diagnostics' kinds."""
+    return {"lambda": list(lams), "op_residual": list(residuals), "kinds": dict(Counter(kinds))}
+
+
+def _print_group(name: str, h, size: str, counts: Counter, spectra: list[dict],
+                 tolerant: bool) -> None:
+    """One group's line: its spectra as JSON if tolerant, else its digest, size and counts."""
+    from qw3.spectral import RESIDUAL_TOL
+
+    if tolerant:
+        print(f"{name} {json.dumps({'residual_tol': RESIDUAL_TOL, 'fields': spectra})}", flush=True)
+    else:
+        summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+        print(f"{name:9s} {h.hexdigest()}  {size} {summary}", flush=True)
+
+
+def _digest_checkout(extra_seeds, tolerant: bool) -> None:
     import numpy as np
     from qw3.spectral import chi_batch, find_roots, lambda0_adjudicate, lambda0_set
 
     lams = np.arange(GRID) * (2.0 * np.pi / GRID)
     for name, fields in _groups(extra_seeds):
-        h, counts = hashlib.sha256(), Counter()
+        h, counts, spectra = hashlib.sha256(), Counter(), []
         for field in fields:
-            scan = find_roots(field, grid_n=GRID)
+            scan = find_roots(field, grid_n=GRID, refine_tol=REFINE_TOL)
             lambda0_diagnostics: list[dict] = []
-            lambda0 = lambda0_adjudicate(field, lambda0_diagnostics)
-            for r in scan.records + lambda0:
+            records = scan.records + lambda0_adjudicate(field, lambda0_diagnostics)
+            diagnostics = scan.diagnostics + lambda0_diagnostics
+            spectra.append(_spectrum((r.lam for r in records), (r.op_residual for r in records),
+                                     (d["kind"] for d in diagnostics)))
+            for r in records:
                 h.update(_record_bytes(r))
                 counts[r.source] += 1
-            for d in scan.diagnostics + lambda0_diagnostics:
+            for d in diagnostics:
                 h.update(json.dumps(d, sort_keys=True).encode())
                 counts[d["kind"]] += 1
             values, in_lambda, near = chi_batch(field, lams)
             h.update(values.tobytes() + in_lambda.tobytes() + near.tobytes())
             h.update(np.array(lambda0_set(field), dtype=np.float64).tobytes())
-        summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        print(f"{name:9s} {h.hexdigest()}  fields={len(fields)} {summary}", flush=True)
-    _digest_cli(extra_seeds)
-    _digest_dynamics()
+        _print_group(name, h, f"fields={len(fields)}", counts, spectra, tolerant)
+    _digest_cli(extra_seeds, tolerant)
+    if not tolerant:
+        _digest_dynamics()
 
 
-def _digest_cli(extra_seeds) -> None:
+def _digest_cli(extra_seeds, tolerant: bool) -> None:
     """The cli group: every `qw3 roots` job through one process's `qw3.cli.main`."""
     from workloads import PRESETS, field_json, wide_fields
 
-    h, counts = hashlib.sha256(), Counter()
+    h, counts, spectra = hashlib.sha256(), Counter(), []
     with tempfile.TemporaryDirectory() as tmp:
         jobs = [p.cli_args() for p in PRESETS]
         for seed in [3, 101, *(s for s in extra_seeds if s not in (3, 101))]:
@@ -174,8 +206,11 @@ def _digest_cli(extra_seeds) -> None:
         for argv in jobs:
             code = _cli_job(h, ["roots", *argv, "--grid", str(GRID)], out)
             counts[f"exit{code}"] += 1
-    summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    print(f"{'cli':9s} {h.hexdigest()}  jobs={len(jobs)} {summary}", flush=True)
+            doc = json.loads(out.read_text())
+            spectra.append(_spectrum((r["lambda"] for r in doc["records"]),
+                                     (r["op_residual"] for r in doc["records"]),
+                                     (d["kind"] for d in doc["diagnostics"])))
+    _print_group("cli", h, f"jobs={len(jobs)}", counts, spectra, tolerant)
 
 
 def _cli_job(h, argv: list[str], out: Path) -> int:
@@ -230,27 +265,37 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--wide-seeds", type=_seed_range, default=[], metavar="LIST",
                         help="also digest the wide-windows fields of these seeds, "
                         "a comma list of seeds and ranges A-B")
+    parser.add_argument("--tolerant", action="store_true",
+                        help="compare counts, phases within 10 * refine_tol, diagnostic kinds "
+                        "and residual bounds, not digests")
     parser.add_argument("--inside", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv[1:])
     if args.inside:
         root = Path(args.checkouts[0]).resolve()
         sys.path[:0] = [str(root / "src"), str(root / "bench")]
-        _digest_checkout(args.wide_seeds)
+        _digest_checkout(args.wide_seeds, args.tolerant)
         return 0
-    seeds = [f"--wide-seeds={','.join(map(str, args.wide_seeds))}"] if args.wide_seeds else []
-    runs: list[dict[str, str]] = []
+    flags = [f"--wide-seeds={','.join(map(str, args.wide_seeds))}"] if args.wide_seeds else []
+    flags += ["--tolerant"] if args.tolerant else []
+    runs: list[dict] = []
     for checkout in args.checkouts:
         print(f"# {checkout}", flush=True)
         runs.append({})
-        with subprocess.Popen([sys.executable, __file__, "--inside", *seeds, checkout],
+        with subprocess.Popen([sys.executable, __file__, "--inside", *flags, checkout],
                               stdout=subprocess.PIPE, text=True) as proc:
             for line in proc.stdout:
+                name, value = line.split(None, 1)
+                if args.tolerant:
+                    value = json.loads(value)
+                    records = sum(len(field["lambda"]) for field in value["fields"])
+                    line = f"{name:9s} fields={len(value['fields'])} records={records}\n"
                 print(line, end="", flush=True)
-                name, digest = line.split()[:2]
-                runs[-1][name] = digest
+                runs[-1][name] = value if args.tolerant else value.split()[0]
         if proc.returncode:
             return proc.returncode
-    return verdict(runs) if len(runs) > 1 else 0
+    if len(runs) < 2:
+        return 0
+    return tolerant_verdict(runs, 10 * REFINE_TOL) if args.tolerant else verdict(runs)
 
 
 def verdict(runs: list[dict[str, str]]) -> int:
@@ -260,6 +305,56 @@ def verdict(runs: list[dict[str, str]]) -> int:
     differs = [name for name in names if len({run.get(name) for run in runs}) > 1]
     for name in names:
         print(f"{name:9s} {'differs' if name in differs else 'equal'}", flush=True)
+    return 1 if differs else 0
+
+
+def _unmatched(lams: list[float], others: list[float], tol: float) -> list[float]:
+    """The phases of lams that no phase of others lies within tol of, on the circle;
+    each phase of others is matched at most once."""
+    free, out = list(others), []
+    for lam in lams:
+        near = [k for k, x in enumerate(free) if abs(math.remainder(lam - x, math.tau)) <= tol]
+        if near:
+            del free[near[0]]
+        else:
+            out.append(lam)
+    return out
+
+
+def tolerant_verdict(runs: list[dict[str, dict]], tol: float) -> int:
+    """Print, per group, whether every checkout's spectra agree with the first's:
+    per field the record count, each lambda within tol, the diagnostic kinds and
+    their counts, and every op_residual within its checkout's residual_tol. Then
+    list each root lost or gained against the first checkout, and each residual
+    over its bound; 1 if any group differs."""
+    print("# verdict", flush=True)
+    names = list(dict.fromkeys(name for run in runs for name in run))
+    notes, differs = [], set()
+    for name in names:
+        if any(name not in run or len(run[name]["fields"]) != len(runs[0][name]["fields"])
+               for run in runs):
+            differs.add(name)
+            continue
+        for c, run in enumerate(runs):
+            bound = run[name]["residual_tol"]
+            for k, (first, field) in enumerate(zip(runs[0][name]["fields"], run[name]["fields"])):
+                lost = _unmatched(first["lambda"], field["lambda"], tol)
+                gained = _unmatched(field["lambda"], first["lambda"], tol)
+                over = [(lam, res) for lam, res in zip(field["lambda"], field["op_residual"])
+                        if not (res is not None and res <= bound)]  # None: a cli file's NaN
+                notes += [f"lost      {name} field {k} lambda={lam!r} (checkout {c})"
+                          for lam in lost]
+                notes += [f"gained    {name} field {k} lambda={lam!r} (checkout {c})"
+                          for lam in gained]
+                notes += [f"residual  {name} field {k} lambda={lam!r} op_residual={res!r} "
+                          f"(checkout {c})" for lam, res in over]
+                if (lost or gained or over or len(first["lambda"]) != len(field["lambda"])
+                        or first["kinds"] != field["kinds"]):
+                    differs.add(name)
+    for name in names:
+        print(f"{name:9s} {'differs' if name in differs else 'equal'}", flush=True)
+    for note in notes:
+        print(note, flush=True)
     return 1 if differs else 0
 
 
