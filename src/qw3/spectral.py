@@ -94,31 +94,36 @@ def _chain(field: CoinField, el: np.ndarray, v0, v1, x_from: int, x_to: int,
     return v0, v1, np.concatenate(masks)
 
 
-def asymptotic_spectrum(field: CoinField, el: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """The tails' spectra at an array of e^{i lam}, solved only on the arcs.
-
-    Returns [c_minus's, c_plus's] as (zeta, v, in_lambda, zero): the
-    eigenpair that decays away from the window, c_minus's growing one and
-    c_plus's decaying one, as eig2_batch gives it; in_lambda, the open
-    condition |tr| > 2 + TR_TOL under which the moduli split strictly (as
-    eig2_batch requires) and decaying tails exist; and transfer_rows' mask.
-    Off in_lambda's |tr| condition, or where the mask holds, zeta is 0 and v
-    is [1, 0]. One coin on both half-lines is solved once, both pairs from
-    one eig2_batch call.
-    """
+def _tail_pairs(field: CoinField, el: np.ndarray, either: bool = False):
+    """The tails at an array of e^{i lam}: c_minus's and c_plus's (in_lambda, zero), each
+    (n,): the open condition |tr| > 2 + TR_TOL under which the moduli split strictly (as
+    eig2_batch requires) and decaying tails exist, and transfer_rows' mask; idx, the phases
+    where both tails (or either) are on the arcs; and one eig2_batch call's pairs there,
+    (2, len(idx)): c_minus's growing one over c_plus's decaying one."""
     table = field.transfer_table
-    same = table[:, 0].tobytes() == table[:, -1].tobytes()
+    same = table[:, 0].tobytes() == table[:, -1].tobytes()  # then one row serves both
+    blocks, tails = [], []
+    for _, (t, zero) in _blocks(table[:, :1] if same else table[:, [0, -1]], el):
+        blocks.append(t)
+        tails += zip((np.abs(t[0] + t[3]) > 2.0 + TR_TOL) & ~zero, zero)
+    (in_left, _), (in_right, _) = tails[0], tails[-1]
+    idx = np.flatnonzero(in_left | in_right if either else in_left & in_right)
+    t = [e.take(idx, axis=1) for e in blocks[0]]
+    if len(blocks) > 1:  # a block per tail
+        t = [np.concatenate((e, f.take(idx, axis=1))) for e, f in zip(t, blocks[1])]
+    return tails[0], tails[-1], idx, eig2_batch(*t, np.array([[True], [False]]))
+
+
+def asymptotic_spectrum(field: CoinField, el: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """The tails' spectra at an array of e^{i lam}, each solved where it decays: [c_minus's,
+    c_plus's] as (zeta, v, in_lambda, zero), the eigenpair that decays away from the window
+    (zeta 0 and v [1, 0] off in_lambda) and _tail_pairs' masks."""
+    *tails, idx, pairs = _tail_pairs(field, el, either=True)
     out = []
-    for a, (t, zero) in _blocks(table[:, :1] if same else table[:, [0, -1]], el):
-        in_lambda = (np.abs(t[0] + t[3]) > 2.0 + TR_TOL) & ~zero
-        rows, cols = np.nonzero(in_lambda)
-        t = [e[rows, cols] for e in t]  # only these outlive the next block's transfer_rows
-        if same:  # row 0 serves both tails: greater is [[True], [False]]
-            rows, in_lambda, zero = np.array([[0], [1]]), in_lambda.repeat(2, 0), zero.repeat(2, 0)
-        zeta, v = np.zeros(zero.shape, dtype=complex), np.zeros((*zero.shape, 2), dtype=complex)
-        v[..., 0] = 1.0
-        zeta[rows, cols], v[rows, cols] = eig2_batch(*t, rows + a == 0)  # 0: c_minus
-        out += [(zeta[k], v[k], in_lambda[k], zero[k]) for k in range(len(zero))]
+    for k, (in_lambda, zero) in enumerate(tails):
+        zeta, v = np.zeros(len(el), dtype=complex), np.tile([1.0 + 0j, 0j], (len(el), 1))
+        zeta[in_lambda], v[in_lambda] = pairs.zeta[k, in_lambda[idx]], pairs.v[k, in_lambda[idx]]
+        out.append((zeta, v, in_lambda, zero))
     return out
 
 
@@ -161,16 +166,12 @@ def chi_batch(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, np.ndarra
     where near_lambda0 holds.
     """
     el = np.exp(1j * lams)
-    (_, left, in_left, zero_left), (_, right, in_right, zero_right) = asymptotic_spectrum(field, el)
-    near = zero_left | zero_right
-    in_lambda = in_left & in_right
-    idx = np.flatnonzero(in_lambda)
-    v0, v1, zeros = _chain(field, el[idx], left[idx, 0], left[idx, 1], field.x_minus,
-                           field.x_plus + 1)
+    (in_left, zero_left), (in_right, zero_right), idx, (_, (left, right)) = _tail_pairs(field, el)
+    in_lambda, near = in_left & in_right, zero_left | zero_right
+    v0, v1, zeros = _chain(field, el[idx], *left.T, field.x_minus, field.x_plus + 1)
     hit = zeros.any(axis=0)
-    w = right[idx]
     values = np.full(lams.shape, np.nan, dtype=complex)
-    values[idx] = np.where(hit, np.nan, v0 * w[:, 1] - v1 * w[:, 0])
+    values[idx] = np.where(hit, np.nan, v0 * right[:, 1] - v1 * right[:, 0])
     near[idx[hit]] = True
     return values, in_lambda, near
 
@@ -277,22 +278,23 @@ def _chains(field: CoinField, lams: np.ndarray):
     tail's decaying one backward (B); each is accurate until rounding noise
     grows in it. A chain is F up to the site j where min(|F_j|/max|F|,
     |B_j|/max|B|) peaks and B scaled by <B_j, F_j>/<B_j, B_j> beyond. Returns
-    the chains at sites x_minus..x_plus (first axis), the left tail's
-    growing rate, the right tail's decaying one, ok: both tails on the arcs
-    and every transfer matrix through x_plus built, and chi_batch's values,
-    from F pushed through x_plus (the same products), wherever ok holds.
+    ok, the phases (indices) where both tails are on the arcs and every
+    transfer matrix through x_plus is built, and there the chains at sites
+    x_minus..x_plus (first axis), the tails' rates (_tail_pairs' zeta) and
+    chi_batch's values, from F pushed through x_plus (the same products).
     """
-    el = np.exp(1j * lams)
-    (z_left, left, in_left, _), (z_right, right, in_right, _) = asymptotic_spectrum(field, el)
+    *_, idx, (rates, (left, right)) = _tail_pairs(field, np.exp(1j * lams))
+    el = np.exp(1j * lams[idx])
     f, zeros = _propagate(field, el, left, field.x_minus, field.x_plus + 1)
     chi, f = f[-1, :, 0] * right[:, 1] - f[-1, :, 1] * right[:, 0], f[:-1]
     b = _propagate(field, el, right, field.x_minus, field.x_plus, backward=True)[0]
     nf, nb = np.linalg.norm(f, axis=-1), np.linalg.norm(b, axis=-1)
     j = np.argmax(np.minimum(nf / nf.max(axis=0), nb / nb.max(axis=0)), axis=0)
-    fj, bj = f[j, np.arange(len(lams))], b[j, np.arange(len(lams))]
+    fj, bj = f[j, np.arange(len(idx))], b[j, np.arange(len(idx))]
     scale = (bj.conj() * fj).sum(axis=-1) / (bj.conj() * bj).sum(axis=-1)
     chains = np.where((np.arange(len(f))[:, None] > j)[..., None], scale[:, None] * b, f)
-    return chains, z_left, z_right, in_left & in_right & ~zeros.any(axis=0), chi
+    ok = ~zeros.any(axis=0)
+    return idx[ok], chains[:, ok], rates[:, ok], chi[ok]
 
 
 def build_eigenvector(field: CoinField, lam: float) -> StateVector:
@@ -303,11 +305,11 @@ def build_eigenvector(field: CoinField, lam: float) -> StateVector:
     construction find_roots certifies, so at a record's phase it returns the
     record's eigenvector.
     """
-    chains, zg, zl, ok, _ = _chains(field, np.array([lam]))
-    if not ok[0]:
+    ok, chains, rates, _ = _chains(field, np.array([lam]))
+    if not ok.size:
         raise ValueError(f"lam={lam!r} lies outside the allowed arcs or where a "
                          "transfer matrix of the window cannot be built")
-    return _lift(field, [(lam, field.x_minus, chains[:, 0], zg[0], zl[0])])[0]
+    return _lift(field, [(lam, field.x_minus, chains[:, 0], *rates[:, 0])])[0]
 
 
 def _secant(f, x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, tol: float, bound: float):
@@ -414,11 +416,11 @@ def find_roots(
     # certify every root where chi_batch is defined (ok, and a value not NaN), the
     # tails, the window chain and |chi| computed for all of them at once
     roots = np.array(merged)
-    chains, zg, zl, ok, chi = _chains(field, roots)
+    ok, chains, rates, chi = _chains(field, roots)
     at = np.abs(chi)
-    keep = np.flatnonzero(ok & ~np.isnan(at))
-    candidates = [(lam, field.x_minus, chains[:, k], zg[k], zl[k])
-                  for k, lam in zip(keep.tolist(), roots[keep].tolist())]
+    keep = np.flatnonzero(~np.isnan(at))
+    candidates = [(lam, field.x_minus, chains[:, k], *rates[:, k])
+                  for k, lam in zip(keep.tolist(), roots[ok[keep]].tolist())]
     records, rejected = _certify(field, candidates, "chi-root", at[keep].tolist())
     return RootScan(records, diagnostics + rejected)
 
@@ -461,23 +463,21 @@ def lambda0_adjudicate(field: CoinField,
         return []
     el, xm, xp, n = np.exp(1j * lams), field.x_minus, field.x_plus, len(field.defects)
     required, handed = field.constraint_table
-    (z_left, v_left, in_left, zero_left), (z_right, v_right, in_right, zero_right) = (
-        asymptotic_spectrum(field, el))
+    left, right = asymptotic_spectrum(field, el)
 
-    def edge(vecs, rates, in_lambda, zero, turn):
+    def edge(rates, vecs, in_lambda, zero, turn):
         # a tail's unit direction at its window edge and its rate (0: compact, the
         # coin's constraint direction); the zero vector where no tail decays
         units = [v / norm(v) if ok else np.zeros(2, complex) for v, ok in zip(vecs, in_lambda)]
-        return np.where(zero[:, None], turn, units), np.where(in_lambda, rates, 0j)
+        return np.where(zero[:, None], turn, units), rates
 
-    start, rate_left = edge(v_left, z_left, in_left, zero_left, handed[0])
-    end, rate_right = edge(v_right, z_right, in_right, zero_right, required[-1])
+    (start, rate_left), (end, rate_right) = edge(*left, handed[0]), edge(*right, required[-1])
     f, breaks = _propagate(field, el, start, xm, xp)
     candidates, rates = [], []
     for k, lam in enumerate(lams.tolist()):
         cuts = np.flatnonzero(breaks[:, k]).tolist()  # chains a..b, in sites past x_minus
         bumps = [(x, handed[i][None, :], 0j, 0j) for x, i, zero in
-                 ((xp + 1, -1, zero_right), (xm - 1, 0, zero_left))
+                 ((xp + 1, -1, right[3]), (xm - 1, 0, left[3]))
                  if zero[k] and _lands(handed[i], required[i])]
         solutions = bumps[:1] or [
             (xm + a, f[a : b + 1, k], 0j if a else rate_left[k], 0j if b < n else rate_right[k])

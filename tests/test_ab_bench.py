@@ -78,3 +78,70 @@ def test_failed_shares_compare_as_fractions(tmp_path):
     more = equal + [(result(tmp_path, "parent", 3, 1.0, 0, 600),
                      result(tmp_path, "change", 3, 1.0, 1, 600))]
     assert not ab_bench.summarize(more, COST)["failed_share_equal"]
+
+
+VERDICT = """# /parent
+presets   fields=8 records=25
+# /change
+presets   fields=8 records=26
+# verdict
+presets   differs
+cli       equal
+gained    presets field 3 lambda=1.25 (checkout 1)
+lost      presets field 5 lambda=2.5 (checkout 1)
+"""
+
+
+def parity_stub(monkeypatch, tmp_path, code):
+    """Stub the parity run (returncode code, VERDICT's lines) and the timed runs;
+    returns the list of what was run, in order."""
+    ran, real_run = [], ab_bench.subprocess.run
+
+    def run(cmd, **kwargs):
+        if Path(cmd[1]).name != "parity_hash.py":  # platform.platform() asks uname
+            return real_run(cmd, **kwargs)
+        assert cmd[2] == "--tolerant"
+        ran.append(("parity", *cmd[3:]))
+        return ab_bench.subprocess.CompletedProcess(cmd, code, VERDICT)
+
+    def run_once(checkout, workload, seed, seconds):
+        ran.append((checkout.name, seed))
+        return {"seed": seed, "commit": checkout.name, "correct": True, "failed": 0,
+                "attempted": 600, "metrics": {"job_cost.mean": 1.0}}
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", run)
+    monkeypatch.setattr(ab_bench, "run_once", run_once)
+    monkeypatch.setattr(ab_bench, "ROOT", tmp_path)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": [{"name": "job_cost.mean", "better": "lower"}]}))
+    return ran
+
+
+def test_parity_that_differs_stops_before_any_timing(monkeypatch, tmp_path, capsys):
+    ran = parity_stub(monkeypatch, tmp_path, 1)
+    argv = ["ab_bench", str(tmp_path / "parent"), str(tmp_path / "change"),
+            "--workload", "presets", "--seeds", "1-2", "--parity"]
+    assert ab_bench.main(argv) == 1
+    assert ran == [("parity", str(tmp_path / "parent"), str(tmp_path / "change"))]
+    assert capsys.readouterr().out.splitlines() == [
+        "parity: the checkouts differ; nothing timed", "presets   differs",
+        "gained    presets field 3 lambda=1.25 (checkout 1)",
+        "lost      presets field 5 lambda=2.5 (checkout 1)"]
+    assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+def test_parity_that_holds_goes_on_to_the_pairs(monkeypatch, tmp_path, capsys):
+    ran = parity_stub(monkeypatch, tmp_path, 0)
+    argv = ["ab_bench", str(tmp_path / "parent"), str(tmp_path / "change"),
+            "--workload", "presets", "--seeds", "1-2"]
+    assert ab_bench.main(argv) == 0  # no --parity: no parity run
+    assert ran == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2)]
+    assert not json.loads((tmp_path / "BENCH_presets.json").read_text())["parity"]
+    ran.clear()
+    capsys.readouterr()
+    assert ab_bench.main([*argv, "--parity"]) == 0
+    assert ran[0][0] == "parity" and len(ran) == 5
+    assert capsys.readouterr().out.splitlines()[0] == "parity: equal"
+    assert json.loads((tmp_path / "BENCH_presets.json").read_text())["parity"]

@@ -136,9 +136,10 @@ def test_eigenpair_certification_inside_arcs(rng):
 
 def test_asymptotic_spectrum_rejects_degenerate_phase():
     # no transfer matrix at the degenerate phase: flagged, and kept off the arcs
-    for *_, in_lambda, zero in asymptotic_spectrum(field_homogeneous(make_grover()),
-                                                  np.array([1.0 + 0j])):
+    for zeta, v, in_lambda, zero in asymptotic_spectrum(field_homogeneous(make_grover()),
+                                                        np.array([1.0 + 0j])):
         assert zero[0] and not in_lambda[0]
+        assert zeta.tolist() == [0j] and v.tolist() == [[1, 0]]  # no pair off the arcs
 
 
 def test_fourier_arcs_form_finite_union():
@@ -839,14 +840,58 @@ def test_the_certification_chain_gives_chi_batch_bits(field):
     # chi_batch's defined set, bit for bit, over the grid and at every record
     lams = np.arange(4000) * (TAU / 4000)
     values = chi_batch(field, lams)[0]
-    *_, ok, chi = _chains(field, lams)
-    assert (ok == ~np.isnan(values)).all()
-    assert chi[ok].tobytes() == values[ok].tobytes()
+    ok, *_, chi = _chains(field, lams)
+    assert ok.tobytes() == np.flatnonzero(~np.isnan(values)).tobytes()
+    assert chi.tobytes() == values[ok].tobytes()
     records = find_roots(field).records
-    chi = _chains(field, np.array([r.lam for r in records]))[-1]
+    ok, *_, chi = _chains(field, np.array([r.lam for r in records]))
+    assert ok.tobytes() == np.arange(len(records)).tobytes()
     for r, value in zip(records, chi):
         alone = np.abs(chi_batch(field, np.array([r.lam]))[0])
         assert np.abs(value).tobytes() == alone.tobytes() == np.float64(r.chi_residual).tobytes()
+
+
+@pytest.mark.parametrize("field", [
+    pytest.param(preset_field("one-defect", 0), id="one-defect-0"),  # one coin, both tails
+    pytest.param(preset_field("two-phase", 0), id="two-phase-0"),  # two tails, other arcs
+    pytest.param(bench_wide_field(101, 23), id="wide-seed101-23"),  # random tails
+])
+def test_both_tails_are_solved_in_one_call_where_both_decay(field, monkeypatch):
+    # chi_batch and _chains solve the tails' eigenpairs in one eig2_batch call,
+    # on exactly the phases where both tails decay: c_minus's matrices over
+    # c_plus's (or one row for both), c_minus's greater pair over c_plus's less
+    import qw3.spectral
+
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return eig2_batch(*args)
+
+    monkeypatch.setattr(qw3.spectral, "eig2_batch", spy)
+    rng = np.random.default_rng(8)
+    grid = np.arange(4000) * (TAU / 4000)
+    inside = np.flatnonzero(chi_batch(field, grid)[1])
+    assert 0 < len(inside) < 4000
+    near = rng.uniform(-1e-3, 1e-3, 16) * 1j
+    some = np.concatenate((grid[rng.choice(inside, 8)], grid[rng.choice(4000, 8)])) + near
+    for lams in (grid, some, grid[inside[len(inside) // 2]] + near[:1], np.array([])):
+        el = np.exp(1j * lams)
+        tails = [transfer_batch(coin, el) for coin in (field.c_minus, field.c_plus)]
+        both = np.logical_and(*((np.abs(t[0] + t[3]) > 2.0 + TR_TOL) & ~zero for t, zero in tails))
+        want = [np.stack((m[both], p[both])) for m, p in zip(tails[0][0], tails[1][0])]
+        for call in (chi_batch, _chains):
+            calls.clear()
+            call(field, lams)
+            assert len(calls) == 1
+            *got, greater = calls[0]
+            assert np.broadcast_to(greater, (2, 1)).tolist() == [[True], [False]]
+            for g, w in zip(got, want):
+                assert np.broadcast_to(g, w.shape).tobytes() == w.tobytes()
+        values, in_lambda, near_lambda0 = chi_batch(field, lams)
+        assert (in_lambda == both).all()
+        if not lams.size:
+            assert [a.shape for a in (values, in_lambda, near_lambda0)] == [(0,)] * 3
 
 
 @pytest.mark.parametrize("field", [

@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
 """Alternating A/B runs of the benchmark, and the verdict on a claimed gain.
 
-    python3 tools/ab_bench.py <parent> <change> --workload W --seeds A-B [--label L]
+    python3 tools/ab_bench.py <parent> <change> --workload W --seeds A-B [--label L] [--parity]
+
+With --parity it first runs `tools/parity_hash.py --tolerant <parent>
+<change>`. If the two checkouts differ (a root gained or lost, a count or a
+diagnostic kind changed, a residual over its bound), it prints the verdict's
+lines that are not `equal` and exits 1 without timing anything.
 
 For each seed S from A to B, runs `bench/run.py --workload W --seed S
 --seconds <run_seconds> --trace 0` once in each checkout, the parent first
@@ -12,7 +17,8 @@ directions come from the change checkout's BENCHMARK.json.
 
 Writes BENCH_<label>.json (label: the workload by default) at the root of
 the repository that holds this tool. It records the machine (nproc,
-platform), both commits, every pair's end-to-end metrics with each run's
+platform), both commits, whether --parity found them equal (false: not
+checked), every pair's end-to-end metrics with each run's
 `correct` flag and failed/attempted job counts, and per metric the medians,
 the quartiles, the wins and the verdict. A change is a gain on a metric when
 it is better in at least 9 of every 10 pairs (a tie is no win) and its
@@ -71,6 +77,17 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     }
 
 
+def parity(parent: Path, change: Path) -> tuple[int, list[str]]:
+    """tools/parity_hash.py --tolerant on the two checkouts: its exit code and the
+    lines of its verdict that are not `equal` (the groups that differ, then each
+    root gained or lost and each residual over its bound)."""
+    cmd = [sys.executable, str(ROOT / "tools" / "parity_hash.py"), "--tolerant",
+           str(parent), str(change)]
+    out = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
+    verdict = out.stdout.partition("# verdict\n")[2].splitlines()
+    return out.returncode, [line for line in verdict if not line.endswith(" equal")]
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -85,11 +102,20 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, metavar="A-B")
     parser.add_argument("--label", help="names the output file (default: the workload)")
+    parser.add_argument("--parity", action="store_true",
+                        help="time nothing unless tools/parity_hash.py --tolerant finds the "
+                        "checkouts equal")
     args = parser.parse_args(argv[1:])
     first, _, last = args.seeds.partition("-")
     seeds = range(int(first), int(last or first) + 1)
     if not seeds:
         parser.error(f"empty seed range {args.seeds}")
+    if args.parity:
+        code, lines = parity(args.parent, args.change)
+        if code:
+            print("parity: the checkouts differ; nothing timed", *lines, sep="\n")
+            return 1
+        print("parity: equal", flush=True)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     pairs = []
@@ -102,7 +128,7 @@ def main(argv: list[str]) -> int:
             f"{name} {runs[args.parent]['metrics'][name]:.6g} -> "
             f"{runs[args.change]['metrics'][name]:.6g}" for name in better), flush=True)
     summary = summarize(pairs, better)
-    doc = {"workload": args.workload, "seconds": spec["run_seconds"],
+    doc = {"workload": args.workload, "seconds": spec["run_seconds"], "parity": args.parity,
            "nproc": len(os.sched_getaffinity(0)),
            "platform": platform.platform(),
            "parent": pairs[0][0]["commit"], "change": pairs[0][1]["commit"],
