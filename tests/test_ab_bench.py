@@ -126,7 +126,7 @@ def test_parity_that_differs_stops_before_any_timing(monkeypatch, tmp_path, caps
     assert ab_bench.main(argv) == 1
     assert ran == [("parity", str(tmp_path / "parent"), str(tmp_path / "change"))]
     assert capsys.readouterr().out.splitlines() == [
-        "parity: the checkouts differ; nothing timed", "presets   differs",
+        "parity: tools/parity_hash.py --tolerant exited 1; nothing timed", "presets   differs",
         "gained    presets field 3 lambda=1.25 (checkout 1)",
         "lost      presets field 5 lambda=2.5 (checkout 1)"]
     assert not list(tmp_path.glob("BENCH_*.json"))

@@ -873,9 +873,9 @@ def test_both_tails_are_solved_in_one_call_where_both_decay(field, monkeypatch):
     grid = np.arange(4000) * (TAU / 4000)
     inside = np.flatnonzero(chi_batch(field, grid)[1])
     assert 0 < len(inside) < 4000
-    near = rng.uniform(-1e-3, 1e-3, 16) * 1j
-    some = np.concatenate((grid[rng.choice(inside, 8)], grid[rng.choice(4000, 8)])) + near
-    for lams in (grid, some, grid[inside[len(inside) // 2]] + near[:1], np.array([])):
+    off_axis = rng.uniform(-1e-3, 1e-3, 16) * 1j
+    some = np.concatenate((grid[rng.choice(inside, 8)], grid[rng.choice(4000, 8)])) + off_axis
+    for lams in (grid, some, grid[inside[len(inside) // 2]] + off_axis[:1], np.array([])):
         el = np.exp(1j * lams)
         tails = [transfer_batch(coin, el) for coin in (field.c_minus, field.c_plus)]
         both = np.logical_and(*((np.abs(t[0] + t[3]) > 2.0 + TR_TOL) & ~zero for t, zero in tails))

@@ -113,7 +113,8 @@ def main(argv: list[str]) -> int:
     if args.parity:
         code, lines = parity(args.parent, args.change)
         if code:
-            print("parity: the checkouts differ; nothing timed", *lines, sep="\n")
+            print(f"parity: tools/parity_hash.py --tolerant exited {code}; nothing timed",
+                  *lines, sep="\n")
             return 1
         print("parity: equal", flush=True)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
