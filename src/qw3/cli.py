@@ -163,6 +163,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 
 def cmd_eigvec(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.lam):  # before the root search, which cannot match it
+        raise ConfigError(f"--lambda must be finite, got {args.lam}")
     started = time.perf_counter()
     out = _out_path(args)
     field = _resolve_field(args)

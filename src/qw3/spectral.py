@@ -62,22 +62,24 @@ def _blocks(table: np.ndarray, el: np.ndarray):
         yield a, transfer_rows(table[:, a : a + step], el, inv)
 
 
-def _chain(field: CoinField, el: np.ndarray, v0, v1, x_from: int, x_to: int,
+def _chain(field: CoinField, el: np.ndarray, start: np.ndarray, x_from: int, x_to: int,
            backward: bool = False, out: np.ndarray | None = None):
-    """The site loop: the transfer chain over sites [x_from, x_to) applied to (v0, v1).
+    """The site loop: the transfer chain over sites [x_from, x_to) applied to start.
 
-    v0, v1 are the components of n states at x_from, or at x_to when
-    backward (T_x^-1 = adj(T_x)/det(T_x) carries x + 1 to x), el their n
-    values e^{i lam}; out, (sites, n, 2), if given, takes each step's state.
-    Returns the end state and the mask, (sites, n) in step order, of the sites
-    whose transfer matrix could not be built. There the rank-one constraint
-    steps: forward, the state beyond the site becomes the direction its coin
-    hands on; backward, the state at the site the one it requires (field.constraint_table).
-    """
+    start, (n, 2), holds n states at x_from, or at x_to when backward (T_x^-1 = adj(T_x)/det(T_x)
+    carries x + 1 to x), el their n values e^{i lam}; out, (sites + 1, n, 2), if given, takes
+    the state at every site from x_from to x_to, start included. Returns the end state's
+    components and the mask, (sites, n) in step order, of the sites whose transfer matrix could
+    not be built. There the rank-one constraint steps: forward, the state beyond the site
+    becomes the direction its coin hands on; backward, the state at the site the one it
+    requires (field.constraint_table)."""
     lo, hi = x_from - field.x_minus + 1, x_to - field.x_minus + 1
     cols, (required, handed) = field.transfer_table[:, lo:hi], field.constraint_table
     turns = required[lo:hi][::-1] if backward else handed[lo:hi]
-    masks = [np.zeros((0, len(el)), dtype=bool)]
+    if out is not None:
+        out = out[::-1] if backward else out
+        out[0] = start
+    v0, v1, masks = start[:, 0], start[:, 1], [np.zeros((0, len(el)), dtype=bool)]
     for a, ((t00, t01, t10, t11), zero) in _blocks(cols[:, ::-1].copy() if backward else cols, el):
         if backward:
             det = np.where(zero, 1.0, t00 * t11 - t01 * t10)
@@ -89,7 +91,7 @@ def _chain(field: CoinField, el: np.ndarray, v0, v1, x_from: int, x_to: int,
                 w = turns[k]
                 v0, v1 = np.where(zero[k - a], w[0], v0), np.where(zero[k - a], w[1], v1)
             if out is not None:
-                out[k, :, 0], out[k, :, 1] = v0, v1
+                out[k + 1, :, 0], out[k + 1, :, 1] = v0, v1
         masks.append(zero)
     return v0, v1, np.concatenate(masks)
 
@@ -112,19 +114,6 @@ def _tail_pairs(field: CoinField, el: np.ndarray, either: bool = False):
     if len(blocks) > 1:  # a block per tail
         t = [np.concatenate((e, f.take(idx, axis=1))) for e, f in zip(t, blocks[1])]
     return tails[0], tails[-1], idx, eig2_batch(*t, np.array([[True], [False]]))
-
-
-def asymptotic_spectrum(field: CoinField, el: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """The tails' spectra at an array of e^{i lam}, each solved where it decays: [c_minus's,
-    c_plus's] as (zeta, v, in_lambda, zero), the eigenpair that decays away from the window
-    (zeta 0 and v [1, 0] off in_lambda) and _tail_pairs' masks."""
-    *tails, idx, pairs = _tail_pairs(field, el, either=True)
-    out = []
-    for k, (in_lambda, zero) in enumerate(tails):
-        zeta, v = np.zeros(len(el), dtype=complex), np.tile([1.0 + 0j, 0j], (len(el), 1))
-        zeta[in_lambda], v[in_lambda] = pairs.zeta[k, in_lambda[idx]], pairs.v[k, in_lambda[idx]]
-        out.append((zeta, v, in_lambda, zero))
-    return out
 
 
 def lambda0_set(field: CoinField) -> list[float]:
@@ -168,7 +157,7 @@ def chi_batch(field: CoinField, lams: np.ndarray) -> tuple[np.ndarray, np.ndarra
     el = np.exp(1j * lams)
     (in_left, zero_left), (in_right, zero_right), idx, (_, (left, right)) = _tail_pairs(field, el)
     in_lambda, near = in_left & in_right, zero_left | zero_right
-    v0, v1, zeros = _chain(field, el[idx], *left.T, field.x_minus, field.x_plus + 1)
+    v0, v1, zeros = _chain(field, el[idx], left, field.x_minus, field.x_plus + 1)
     hit = zeros.any(axis=0)
     values = np.full(lams.shape, np.nan, dtype=complex)
     values[idx] = np.where(hit, np.nan, v0 * right[:, 1] - v1 * right[:, 0])
@@ -211,6 +200,8 @@ def operator_residual(field: CoinField, lam, psi):
     window by one _steps call with two empty sites either side of each: a
     row depends only on its neighbours, so each has the bits of a lone call."""
     psis = [psi] if isinstance(psi, StateVector) else psi
+    if not psis:
+        return np.zeros(0)
     sizes = np.array([len(p.amps) + 4 for p in psis])
     ends = np.cumsum(sizes)
     amps = np.zeros((ends[-1], 3), dtype=complex)
@@ -285,9 +276,10 @@ def _chains(field: CoinField, lams: np.ndarray):
     """
     *_, idx, (rates, (left, right)) = _tail_pairs(field, np.exp(1j * lams))
     el = np.exp(1j * lams[idx])
-    f, zeros = _propagate(field, el, left, field.x_minus, field.x_plus + 1)
-    chi, f = f[-1, :, 0] * right[:, 1] - f[-1, :, 1] * right[:, 0], f[:-1]
-    b = _propagate(field, el, right, field.x_minus, field.x_plus, backward=True)[0]
+    f = np.empty((field.x_plus - field.x_minus + 2, len(idx), 2), dtype=complex)
+    v0, v1, zeros = _chain(field, el, left, field.x_minus, field.x_plus + 1, out=f)
+    chi, f, b = v0 * right[:, 1] - v1 * right[:, 0], f[:-1], np.empty_like(f[:-1])
+    _chain(field, el, right, field.x_minus, field.x_plus, backward=True, out=b)
     nf, nb = np.linalg.norm(f, axis=-1), np.linalg.norm(b, axis=-1)
     j = np.argmax(np.minimum(nf / nf.max(axis=0), nb / nb.max(axis=0)), axis=0)
     fj, bj = f[j, np.arange(len(idx))], b[j, np.arange(len(idx))]
@@ -428,16 +420,6 @@ def find_roots(
 # --- adjudication of the degenerate phases ---------------------------------
 
 
-def _propagate(field: CoinField, el: np.ndarray, start: np.ndarray, x_from: int, x_to: int,
-               backward: bool = False):
-    """_chain from start, (n, 2): the values at sites x_from..x_to on a new first axis,
-    and its mask of the sites stepped, in the order stepped, (x_to - x_from, n)."""
-    values = np.empty((x_to - x_from + 1, *start.shape), dtype=complex)
-    values[-1 if backward else 0] = start
-    return values, _chain(field, el, start[:, 0], start[:, 1], x_from, x_to, backward,
-                          values[:-1][::-1] if backward else values[1:])[2]
-
-
 def _lands(v: np.ndarray, direction: np.ndarray) -> bool:
     """Whether v is nonzero and parallel, within PARALLEL_TOL, to the unit
     vector direction; nothing lands on the zero vector (an absent direction)."""
@@ -463,21 +445,26 @@ def lambda0_adjudicate(field: CoinField,
         return []
     el, xm, xp, n = np.exp(1j * lams), field.x_minus, field.x_plus, len(field.defects)
     required, handed = field.constraint_table
-    left, right = asymptotic_spectrum(field, el)
+    (in_left, zero_left), (in_right, zero_right), idx, pairs = _tail_pairs(field, el, either=True)
 
-    def edge(rates, vecs, in_lambda, zero, turn):
+    def edge(k, in_lambda, zero, turn):
         # a tail's unit direction at its window edge and its rate (0: compact, the
         # coin's constraint direction); the zero vector where no tail decays
-        units = [v / norm(v) if ok else np.zeros(2, complex) for v, ok in zip(vecs, in_lambda)]
+        on = in_lambda[idx]
+        rates, units = np.zeros(len(el), dtype=complex), np.zeros((len(el), 2), dtype=complex)
+        rates[idx[on]] = pairs.zeta[k, on]
+        units[idx[on]] = np.reshape([v / norm(v) for v in pairs.v[k, on]], (-1, 2))
         return np.where(zero[:, None], turn, units), rates
 
-    (start, rate_left), (end, rate_right) = edge(*left, handed[0]), edge(*right, required[-1])
-    f, breaks = _propagate(field, el, start, xm, xp)
+    (start, rate_left), (end, rate_right) = (edge(0, in_left, zero_left, handed[0]),
+                                             edge(1, in_right, zero_right, required[-1]))
+    f = np.empty((xp - xm + 1, len(el), 2), dtype=complex)
+    breaks = _chain(field, el, start, xm, xp, out=f)[2]
     candidates, rates = [], []
     for k, lam in enumerate(lams.tolist()):
         cuts = np.flatnonzero(breaks[:, k]).tolist()  # chains a..b, in sites past x_minus
         bumps = [(x, handed[i][None, :], 0j, 0j) for x, i, zero in
-                 ((xp + 1, -1, right[3]), (xm - 1, 0, left[3]))
+                 ((xp + 1, -1, zero_right), (xm - 1, 0, zero_left))
                  if zero[k] and _lands(handed[i], required[i])]
         solutions = bumps[:1] or [
             (xm + a, f[a : b + 1, k], 0j if a else rate_left[k], 0j if b < n else rate_right[k])

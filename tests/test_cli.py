@@ -352,6 +352,10 @@ def test_scan_rejects_empty_grid(tmp_path, capsys, argv):
                  id="roots-refine-tol-0"),
     pytest.param(["eigvec", "--lambda", "1.0", "--grid", "10"],
                  "--grid must be at least 1000, got 10", id="eigvec-grid-10"),
+    pytest.param(["eigvec", "--lambda", "inf"], "--lambda must be finite, got inf",
+                 id="eigvec-lambda-inf"),
+    pytest.param(["eigvec", "--lambda", "nan"], "--lambda must be finite, got nan",
+                 id="eigvec-lambda-nan"),
 ])
 def test_search_flags_are_configuration_errors(tmp_path, capsys, argv, message):
     # find_roots' own ValueError would be reported as a numerical error (exit 3)

@@ -18,10 +18,10 @@ from qw3.linalg import TAU, angle_dist, eig2_batch
 from qw3.spectral import (
     TR_TOL,
     _SECANT_ESCAPE,
+    _chain,
     _chains,
-    _propagate,
     _secant,
-    asymptotic_spectrum,
+    _tail_pairs,
     build_eigenvector,
     chi_batch,
     find_roots,
@@ -73,24 +73,33 @@ def sample_valid(rng, coin):
             return lam
 
 
+def tail_at(field, el, k):
+    """Tail k (0: c_minus, 1: c_plus) of _tail_pairs(field, el, either=True): its
+    masks (in_lambda, zero) and its pair (zeta, v) at the phases where it decays."""
+    *tails, idx, pairs = _tail_pairs(field, el, either=True)
+    in_lambda, zero = tails[k]
+    on = in_lambda[idx]
+    return in_lambda, zero, pairs.zeta[k, on], pairs.v[k, on]
+
+
 def spectrum_at(coin, lam):
     """Both eigenpairs (unit vectors), ordered by modulus, of the coin's transfer
-    matrix at one phase, from eig2_batch, and in_lambda from asymptotic_spectrum.
-    On the arcs, asymptotic_spectrum's tail pairs are these, bit for bit:
+    matrix at one phase, from eig2_batch, and in_lambda from _tail_pairs.
+    On the arcs, _tail_pairs' tail pairs are these, bit for bit:
     c_minus's the growing one, c_plus's the decaying one. They are the same
     whether the coin is on both half-lines (one solve for both tails) or
     beside another coin (one solve per tail)."""
     el = np.exp(1j * np.array([lam]))
     less, greater = (eig2_batch(*transfer_batch(coin, el)[0], g) for g in (False, True))
-    tails = asymptotic_spectrum(field_homogeneous(coin), el)
+    tails = [tail_at(field_homogeneous(coin), el, k) for k in (0, 1)]
     other = make_fourier()
-    beside = (asymptotic_spectrum(field_two_phase(coin, other), el)[0],
-              asymptotic_spectrum(field_two_phase(other, coin), el)[1])
+    beside = (tail_at(field_two_phase(coin, other), el, 0),
+              tail_at(field_two_phase(other, coin), el, 1))
     for tail, alone in zip(tails, beside):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(tail, alone))
-    in_lambda = bool(tails[0][2][0])
+    in_lambda = bool(tails[0][0][0])
     if in_lambda:
-        for (zeta, v, *_), pair in zip(tails, (greater, less)):
+        for (*_, zeta, v), pair in zip(tails, (greater, less)):
             assert zeta.tobytes() == pair.zeta.tobytes() and v.tobytes() == pair.v.tobytes()
     unit = [p.v[0] / np.linalg.norm(p.v[0]) for p in (less, greater)]
     return less.zeta[0], greater.zeta[0], *unit, in_lambda
@@ -136,10 +145,11 @@ def test_eigenpair_certification_inside_arcs(rng):
 
 def test_asymptotic_spectrum_rejects_degenerate_phase():
     # no transfer matrix at the degenerate phase: flagged, and kept off the arcs
-    for zeta, v, in_lambda, zero in asymptotic_spectrum(field_homogeneous(make_grover()),
-                                                        np.array([1.0 + 0j])):
+    *tails, idx, pairs = _tail_pairs(field_homogeneous(make_grover()), np.array([1.0 + 0j]),
+                                     either=True)
+    for in_lambda, zero in tails:
         assert zero[0] and not in_lambda[0]
-        assert zeta.tolist() == [0j] and v.tolist() == [[1, 0]]  # no pair off the arcs
+    assert idx.size == 0 and pairs.zeta.shape == (2, 0)  # no pair off the arcs
 
 
 def test_fourier_arcs_form_finite_union():
@@ -347,6 +357,12 @@ def test_operator_residual_matches_apply_u():
     assert operator_residual(field, r.lam, r.eigvec) == r.op_residual
 
 
+def test_operator_residual_of_no_states_is_empty():
+    # the list form with no states: no residuals, as with any other count
+    got = operator_residual(field_homogeneous(make_grover()), np.array([]), [])
+    assert got.shape == (0,) and got.dtype == np.float64
+
+
 def test_lambda0_interior_compact_chain():
     # two adjacent defect sites whose transfer matrices degenerate at the same
     # phase support an eigenvector pinched between them, even though the bulk
@@ -447,10 +463,14 @@ def test_the_site_loop_takes_the_rank_one_step_at_a_break():
     field = CoinField(fourier, fourier, -2, 2, (fourier, fourier, grover, fourier))
     lams = np.array([0.0, 1.0])
     start = np.array([[1.0, 0.5j], [0.3, 1.0]], dtype=complex)
-    f, breaks = _propagate(field, np.exp(1j * lams), start, -2, 2)
-    b, back_breaks = _propagate(field, np.exp(1j * lams), start, -2, 2, backward=True)
+    f, b = np.full((2, 5, 2, 2), np.nan, dtype=complex)  # sites -2..2, start rows included
+    *end, breaks = _chain(field, np.exp(1j * lams), start, -2, 2, out=f)
+    *_, back_breaks = _chain(field, np.exp(1j * lams), start, -2, 2, backward=True, out=b)
     assert breaks.tolist() == [[False, False], [False, False], [True, False], [False, False]]
     assert back_breaks.tolist() == breaks[::-1].tolist()
+    assert not np.isnan(np.stack((f, b))).any()  # every site written
+    assert f[0].tobytes() == b[-1].tobytes() == start.tobytes()  # site -2, site 2
+    assert np.stack(end, axis=-1).tobytes() == f[-1].tobytes()
     required, handed = zero_case_vectors(grover.mat)
     assert f[3, 0].tobytes() == handed.tobytes()  # site 1
     assert b[2, 0].tobytes() == required.tobytes()  # site 0
@@ -822,15 +842,21 @@ def test_chi_batch_bits_do_not_depend_on_the_phases_asked(field):
     real = np.arange(4000) * (TAU / 4000)
     for lams in (real, real + 1j * rng.uniform(-1e-3, 1e-3, 4000)):
         full = chi_batch(field, lams)
-        tails = asymptotic_spectrum(field, np.exp(1j * lams))
+        *tails, idx, pairs = _tail_pairs(field, np.exp(1j * lams), either=True)
         inside = np.flatnonzero(full[1])
         subsets = [inside[:1], inside[-1:], np.array([0]), inside[::97], inside[10:12],
                    scattered, np.arange(0, 4000, 2), *scattered[:, None]]
         for k in subsets:
             for got, want in zip(chi_batch(field, lams[k]), full):
                 assert got.tobytes() == want[k].tobytes(), k
-            for got, want in zip(asymptotic_spectrum(field, np.exp(1j * lams[k])), tails):
-                assert all(g.tobytes() == w[k].tobytes() for g, w in zip(got, want)), k
+            *got, at, got_pairs = _tail_pairs(field, np.exp(1j * lams[k]), either=True)
+            for g, w in zip(got, tails):
+                assert all(a.tobytes() == b[k].tobytes() for a, b in zip(g, w)), k
+            # the pairs at k's phases where a tail decays: the full call's there
+            pos = np.searchsorted(idx, k[at])
+            assert np.array_equal(idx[pos], k[at]), k
+            for g, w in zip(got_pairs, pairs):
+                assert g.tobytes() == w[:, pos].tobytes(), k
 
 
 @pytest.mark.parametrize("field", CHI_FIELDS)
@@ -851,15 +877,16 @@ def test_the_certification_chain_gives_chi_batch_bits(field):
         assert np.abs(value).tobytes() == alone.tobytes() == np.float64(r.chi_residual).tobytes()
 
 
-@pytest.mark.parametrize("field", [
-    pytest.param(preset_field("one-defect", 0), id="one-defect-0"),  # one coin, both tails
-    pytest.param(preset_field("two-phase", 0), id="two-phase-0"),  # two tails, other arcs
-    pytest.param(bench_wide_field(101, 23), id="wide-seed101-23"),  # random tails
+@pytest.mark.parametrize("field, either_differs", [
+    pytest.param(preset_field("one-defect", 0), False, id="one-defect-0"),  # one coin, both tails
+    pytest.param(preset_field("two-phase", 0), True, id="two-phase-0"),  # two tails, other arcs
+    pytest.param(bench_wide_field(101, 23), True, id="wide-seed101-23"),  # random tails
 ])
-def test_both_tails_are_solved_in_one_call_where_both_decay(field, monkeypatch):
+def test_both_tails_are_solved_in_one_call_where_both_decay(field, either_differs, monkeypatch):
     # chi_batch and _chains solve the tails' eigenpairs in one eig2_batch call,
-    # on exactly the phases where both tails decay: c_minus's matrices over
-    # c_plus's (or one row for both), c_minus's greater pair over c_plus's less
+    # on exactly the phases where both tails decay, and lambda0_adjudicate on the
+    # degenerate phases where either does: c_minus's matrices over c_plus's (or
+    # one row for both), c_minus's greater pair over c_plus's less
     import qw3.spectral
 
     calls = []
@@ -867,6 +894,22 @@ def test_both_tails_are_solved_in_one_call_where_both_decay(field, monkeypatch):
     def spy(*args):
         calls.append(args)
         return eig2_batch(*args)
+
+    def tails_at(lams):
+        """The tails' transfer matrices at lams, and where each decays."""
+        tails = [transfer_batch(coin, np.exp(1j * lams)) for coin in (field.c_minus, field.c_plus)]
+        return [t for t, _ in tails], [(np.abs(t[0] + t[3]) > 2.0 + TR_TOL) & ~zero
+                                       for t, zero in tails]
+
+    def solved_once(call, lams, matrices, at):
+        calls.clear()
+        call(field, lams)
+        assert len(calls) == 1
+        *got, greater = calls[0]
+        assert np.broadcast_to(greater, (2, 1)).tolist() == [[True], [False]]
+        for g, m, p in zip(got, *matrices):
+            w = np.stack((m[at], p[at]))
+            assert np.broadcast_to(g, w.shape).tobytes() == w.tobytes()
 
     monkeypatch.setattr(qw3.spectral, "eig2_batch", spy)
     rng = np.random.default_rng(8)
@@ -876,22 +919,19 @@ def test_both_tails_are_solved_in_one_call_where_both_decay(field, monkeypatch):
     off_axis = rng.uniform(-1e-3, 1e-3, 16) * 1j
     some = np.concatenate((grid[rng.choice(inside, 8)], grid[rng.choice(4000, 8)])) + off_axis
     for lams in (grid, some, grid[inside[len(inside) // 2]] + off_axis[:1], np.array([])):
-        el = np.exp(1j * lams)
-        tails = [transfer_batch(coin, el) for coin in (field.c_minus, field.c_plus)]
-        both = np.logical_and(*((np.abs(t[0] + t[3]) > 2.0 + TR_TOL) & ~zero for t, zero in tails))
-        want = [np.stack((m[both], p[both])) for m, p in zip(tails[0][0], tails[1][0])]
+        matrices, decays = tails_at(lams)
+        both = np.logical_and(*decays)
         for call in (chi_batch, _chains):
-            calls.clear()
-            call(field, lams)
-            assert len(calls) == 1
-            *got, greater = calls[0]
-            assert np.broadcast_to(greater, (2, 1)).tolist() == [[True], [False]]
-            for g, w in zip(got, want):
-                assert np.broadcast_to(g, w.shape).tobytes() == w.tobytes()
+            solved_once(call, lams, matrices, both)
         values, in_lambda, near_lambda0 = chi_batch(field, lams)
         assert (in_lambda == both).all()
         if not lams.size:
             assert [a.shape for a in (values, in_lambda, near_lambda0)] == [(0,)] * 3
+    lams = np.array(lambda0_set(field))
+    matrices, decays = tails_at(lams)
+    either = np.logical_or(*decays)
+    solved_once(lambda f, _: lambda0_adjudicate(f), lams, matrices, either)
+    assert (either != np.logical_and(*decays)).any() == either_differs
 
 
 @pytest.mark.parametrize("field", [

@@ -282,12 +282,13 @@ def test_iota_inverse_of_transfer_chain_is_eigenvector():
     # a reduced state built from the transfer recursion lifts to an
     # eigenvector of the direct walk operator
     from qw3.coin import field_one_defect
-    from qw3.spectral import asymptotic_spectrum, find_roots, operator_residual
+    from qw3.spectral import _tail_pairs, find_roots, operator_residual
 
     field = field_one_defect(make_fourier(), phase_scale(make_fourier(), np.pi / 12))
     lam = find_roots(field, grid_n=1000).records[0].lam
     el = np.exp(1j * np.array([lam]))
-    (z_greater, v, _, _), (z_less, _, _, _) = asymptotic_spectrum(field, el)
+    *_, idx, ((z_greater, z_less), (v, _)) = _tail_pairs(field, el, either=True)
+    assert idx.tolist() == [0]
     z_greater, z_less, v = z_greater[0], z_less[0], v[0]
     # enough sites for both geometric tails to fall below 1e-12
     m = int(np.ceil(np.log(1e-12) / np.log(abs(z_less))))
