@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .coin import CoinField, PRESETS, ConfigError, parse_field_config, serialize_field
-from .evolution import SimulationError, StateVector, default_initial_state, evolve
+from .evolution import SimulationError, StateVector, _distributions, default_initial_state
 from .linalg import TAU, angle_dist
 from .spectral import (
     EigenvalueRecord,
@@ -217,17 +217,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     field = _resolve_field(args)
     half_width = args.window if args.window is not None else args.t + 6
     psi0 = _initial_state(args, half_width)
-    trajectory = evolve(field, psi0, args.t)
-    if args.trajectory:
-        lines = ["t,x,prob"]
-        for dist in trajectory:
-            for i, x in enumerate(range(dist.lo, dist.hi + 1)):
-                lines.append(f"{dist.time},{x},{_fmt(dist.probs[i])}")
-    else:
-        final = trajectory[-1]
-        lines = ["x,prob"]
-        for i, x in enumerate(range(final.lo, final.hi + 1)):
-            lines.append(f"{x},{_fmt(final.probs[i])}")
+    lines = ["t,x,prob" if args.trajectory else "x,prob"]
+    for dist in _distributions(field, psi0, args.t):  # one at a time; only rows are kept
+        if args.trajectory or dist.time == args.t:
+            t = f"{dist.time}," if args.trajectory else ""
+            lines += [f"{t}{x},{_fmt(p)}" for x, p in zip(range(dist.lo, dist.hi + 1), dist.probs)]
     _write_atomic(out, "\n".join(lines) + "\n")
     _write_manifest(out, "evolve", {"t": args.t, "window": half_width,
                                     "trajectory": bool(args.trajectory)}, field, started)

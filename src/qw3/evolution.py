@@ -14,8 +14,10 @@ state, flags it as leaked when amplitude sits on the outermost sites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 
 import numpy as np
+from numpy._core.multiarray import c_einsum  # np.einsum's own kernel, minus its dispatch
 
 from .coin import CoinField
 
@@ -108,12 +110,14 @@ def _steps(coins: np.ndarray, amps: np.ndarray, cones):
     # m at row x in column x + 1; row x of the view is m_0(x + 1), m_1(x), m_2(x - 1)
     views = [buf.reshape(-1)[2 : 3 * n + 5].reshape(3, n + 1)[:, :n] for buf in bufs]
     views[0][:] = amps.T
-    for t, (a, b) in enumerate(cones, start=1):
+    # (source, destination, the destination's state) for odd steps, then even ones
+    turns = cycle(((views[0], bufs[1], views[1]), (views[1], bufs[0], views[0])))
+    for (a, b), (src, dst, view) in zip(cones, turns):
         if a <= b:
-            lo, hi = max(a - 1, 0), min(b + 1, n - 1)
-            np.einsum("ijx,jx->ix", coins[:, :, lo : hi + 1], views[1 - t % 2][:, lo : hi + 1],
-                      out=bufs[t % 2][:, lo + 1 : hi + 2])
-        yield views[t % 2], a, b
+            lo, end = a - 1 if a > 0 else 0, b + 2 if b < n - 1 else n
+            c_einsum("ijx,jx->ix", coins[:, :, lo:end], src[:, lo:end],
+                     out=dst[:, lo + 1 : end + 1])
+        yield view, a, b
 
 
 def apply_u(field: CoinField, psi: StateVector) -> StateVector:
@@ -127,6 +131,8 @@ def apply_u(field: CoinField, psi: StateVector) -> StateVector:
 
 def _require_margin(psi0: StateVector, steps: int) -> tuple[int, int]:
     """The first and last occupied rows of psi0, once the window clears the cone."""
+    if not np.isfinite(psi0.amps).all():
+        raise ValueError("initial state has non-finite amplitudes")
     occupied = np.nonzero(psi0.site_norms() > 0.0)[0]
     if occupied.size == 0:
         raise ValueError("initial state is identically zero")
@@ -157,18 +163,23 @@ def _run(field: CoinField, psi0: StateVector, steps: int, horizon: int | None = 
     return _steps(coin_stack(field, np.arange(psi0.lo, psi0.hi + 1)), psi0.amps, cones)
 
 
-def evolve(field: CoinField, psi0: StateVector, steps: int) -> list[Distribution]:
-    """Distributions at times 0..steps. The window must clear the light cone."""
+def _distributions(field: CoinField, psi0: StateVector, steps: int):
+    """The distributions at times 0..steps, one at a time; checks run before the first."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    out = [psi0.distribution(0)]
+    run = _run(field, psi0, steps)
+    yield psi0.distribution(0)
     moduli = np.empty((3, len(psi0.amps)))  # |amps| of rows a..b in its first columns
-    for t, (amps, a, b) in enumerate(_run(field, psi0, steps), start=1):
+    for t, (amps, a, b) in enumerate(run, start=1):
         probs, cone = np.zeros(len(psi0.amps)), moduli[:, : b + 1 - a]
         np.abs(amps[:, a : b + 1], out=cone)
-        np.einsum("ix,ix->x", cone, cone, out=probs[a : b + 1])
-        out.append(Distribution(psi0.lo, psi0.hi, probs, t))
-    return out
+        c_einsum("ix,ix->x", cone, cone, out=probs[a : b + 1])
+        yield Distribution(psi0.lo, psi0.hi, probs, t)
+
+
+def evolve(field: CoinField, psi0: StateVector, steps: int) -> list[Distribution]:
+    """Distributions at times 0..steps. The window must clear the light cone."""
+    return list(_distributions(field, psi0, steps))
 
 
 def time_averaged_origin(field: CoinField, psi0: StateVector, t_max: int) -> float:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,19 @@ def test_evolve_trajectory_rows(tmp_path):
     assert len(rows) == 4 * 21
 
 
+def test_evolve_keeps_no_distribution_it_does_not_write(tmp_path):
+    # every distribution to t = 600 kept would take 601 x 1213 floats, 5.8 MB
+    out = tmp_path / "ev.csv"
+    tracemalloc.start()
+    try:
+        assert main(["evolve", "--model", "one-defect", "--t", "600", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+    assert len(read_csv(out)[1]) == 1213
+
+
 def test_evolve_window_too_small_exit3(tmp_path, capsys):
     code = main(["evolve", "--model", "homogeneous", "--t", "50",
                  "--window", "10", "--out", str(tmp_path / "e.csv")])
@@ -454,7 +468,7 @@ def test_out_in_a_missing_directory_fails_before_any_work(tmp_path, capsys, monk
     def computed(*args, **kwargs):
         raise AssertionError("computed before checking --out")
 
-    for name in ("find_roots", "chi_batch", "evolve", "lambda0_set"):
+    for name in ("find_roots", "chi_batch", "_distributions", "lambda0_set"):
         monkeypatch.setattr(f"qw3.cli.{name}", computed)
     out = tmp_path / "no" / "such" / "x.out"
     assert main(argv + ["--out", str(out)]) == 2

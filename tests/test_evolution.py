@@ -13,6 +13,7 @@ from qw3.evolution import (
     MARGIN,
     SimulationError,
     StateVector,
+    _steps,
     apply_u,
     default_initial_state,
     evolve,
@@ -20,7 +21,7 @@ from qw3.evolution import (
 )
 from qw3.spectral import find_roots
 
-from conftest import THETAS, random_coin
+from conftest import THETAS, random_coin, random_unitary
 
 
 def random_state(rng, half_width=30, spread=10):
@@ -294,3 +295,39 @@ def test_light_cone_run_zero_steps_and_unreachable_origin():
     assert time_averaged_origin(DEFECT, psi0, 40) == 0.0
     (d,) = evolve(DEFECT, psi0, 0)
     assert np.array_equal(d.probs, psi0.distribution(0).probs)
+
+
+@pytest.mark.parametrize("site, spinor", [(25, [np.nan, 0, 0]), (20, [np.nan, 0, 0]),
+                                          (20, [np.inf, 0, 0])],
+                         ids=["nan-off-support", "nan-on-support", "inf"])
+def test_a_non_finite_initial_state_is_refused(site, spinor):
+    # whole-window steps (apply_u) carry a NaN anywhere in the window along
+    psi0 = default_initial_state(20)
+    psi0.amps[site] = spinor
+    with pytest.raises(ValueError, match="non-finite amplitudes"):
+        evolve(DEFECT, psi0, 3)
+    with pytest.raises(ValueError, match="non-finite amplitudes"):
+        time_averaged_origin(DEFECT, psi0, 3)
+
+
+def test_a_step_is_the_public_einsum_bit_for_bit(rng):
+    """One _steps step is np.einsum("ijx,jx->ix") of the coins and the state,
+    shifted, byte for byte: Haar coins, amplitudes spread over 1e-200..1e200,
+    cones of 1..40 rows and of about 1600, inside and at either wall. A step by
+    np.matmul, for one, rounds differently."""
+    pool = np.stack([random_unitary(rng) for _ in range(64)], axis=-1)
+    cases = [(w, a, n) for w in range(1, 41) for a, n in ((6, w + 12), (0, w + 12), (12, w + 12))]
+    cases += [(1600, 6, 1612), (1600, 0, 1600), (1598, 12, 1610)]
+    for width, a, n in cases:
+        b = a + width - 1
+        coins = pool[:, :, rng.integers(0, 64, size=n)]
+        scale = 10.0 ** rng.uniform(-200, 200, size=(n, 3))
+        amps = (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))) * scale
+        got = next(_steps(coins, amps, [(a, b)]))[0]
+        lo, hi = max(a - 1, 0), min(b + 1, n - 1)
+        m = np.zeros((3, n + 2), dtype=complex)  # m at site x in column x + 1, walls around
+        m[:, lo + 1 : hi + 2] = np.einsum("ijx,jx->ix", coins[:, :, lo : hi + 1],
+                                          amps.T.copy()[:, lo : hi + 1])
+        want = np.stack([m[0, 2:], m[1, 1:-1], m[2, :-2]])  # m_0(x + 1), m_1(x), m_2(x - 1)
+        assert np.array_equal(np.ascontiguousarray(got[:, a : b + 1]).view(np.uint64),
+                              np.ascontiguousarray(want[:, a : b + 1]).view(np.uint64)), (a, b, n)
