@@ -44,10 +44,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the strings chunks to path's .tmp, then move it to path; remove it if either fails."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        with tmp.open("w", encoding="utf-8") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _config_digest(field: CoinField) -> str:
@@ -61,7 +67,7 @@ def _write_manifest(out: Path, command: str, params: dict, field: CoinField,
                 "wall_time_s": time.perf_counter() - started,
                 "config_digest": _config_digest(field)}
     _write_atomic(out.with_name(out.name + ".manifest.json"),
-                  json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+                  [json.dumps(manifest, sort_keys=True, indent=2) + "\n"])
 
 
 def _resolve_field(args: argparse.Namespace) -> CoinField:
@@ -79,9 +85,11 @@ def _resolve_field(args: argparse.Namespace) -> CoinField:
 
 
 def _out_path(args: argparse.Namespace) -> Path:
-    """--out, checked before any work is done: its directory must exist."""
+    """--out, checked before any work is done: its directory must exist, and it must not be one."""
     if not (out := Path(args.out)).parent.is_dir():
         raise ConfigError(f"--out {out}: no directory {out.parent}")
+    if out.is_dir():
+        raise ConfigError(f"--out {out}: is a directory")
     return out
 
 
@@ -141,9 +149,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     for lam, value, inside, at_lambda0 in zip(lams, values, in_lambda, near):
         abs_chi = "" if np.isnan(value) else _fmt(abs(value))
         lines.append(f"{_fmt(lam)},{abs_chi},{int(inside)},{int(at_lambda0)}")
-    _write_atomic(out, "\n".join(lines) + "\n")
+    _write_atomic(out, ["\n".join(lines) + "\n"])
     _write_atomic(out.with_name(out.name + ".lambda0.json"),
-                  json.dumps({"lambda0": lambda0_set(field)}, sort_keys=True) + "\n")
+                  [json.dumps({"lambda0": lambda0_set(field)}, sort_keys=True) + "\n"])
     _write_manifest(out, "scan", {"grid": args.grid}, field, started)
     return EXIT_OK
 
@@ -155,7 +163,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     records, diagnostics = _all_records(field, args.grid, args.refine_tol)
     doc = _null_non_finite({"records": [_record_json(r) for r in records],
                             "diagnostics": diagnostics})
-    _write_atomic(out, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    _write_atomic(out, [json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"])
     _write_manifest(out, "roots", {"grid": args.grid, "refine_tol": args.refine_tol}, field,
                     started)
     print(f"{len(records)} eigenvalue(s) written to {out}")
@@ -181,7 +189,7 @@ def cmd_eigvec(args: argparse.Namespace) -> int:
     for x, a, norm in zip(range(psi.lo, psi.hi + 1), psi.amps, psi.site_norms()):
         lines.append(",".join([str(x), *(_fmt(v) for c in a for v in (c.real, c.imag)),
                                _fmt(norm)]))
-    _write_atomic(out, "\n".join(lines) + "\n")
+    _write_atomic(out, ["\n".join(lines) + "\n"])
     _write_manifest(out, "eigvec", {"grid": args.grid, "refine_tol": args.refine_tol,
                                     "lambda": args.lam}, field, started)
     return EXIT_OK
@@ -217,12 +225,16 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     field = _resolve_field(args)
     half_width = args.window if args.window is not None else args.t + 6
     psi0 = _initial_state(args, half_width)
-    lines = ["t,x,prob" if args.trajectory else "x,prob"]
-    for dist in _distributions(field, psi0, args.t):  # one at a time; only rows are kept
-        if args.trajectory or dist.time == args.t:
-            t = f"{dist.time}," if args.trajectory else ""
-            lines += [f"{t}{x},{_fmt(p)}" for x, p in zip(range(dist.lo, dist.hi + 1), dist.probs)]
-    _write_atomic(out, "\n".join(lines) + "\n")
+
+    def chunks():  # the header, then each written distribution's rows as one string
+        yield "t,x,prob\n" if args.trajectory else "x,prob\n"
+        for dist in _distributions(field, psi0, args.t):  # one at a time
+            if args.trajectory or dist.time == args.t:
+                t = f"{dist.time}," if args.trajectory else ""
+                yield "".join([f"{t}{x},{_fmt(p)}\n"
+                               for x, p in zip(range(dist.lo, dist.hi + 1), dist.probs)])
+
+    _write_atomic(out, chunks())
     _write_manifest(out, "evolve", {"t": args.t, "window": half_width,
                                     "trajectory": bool(args.trajectory)}, field, started)
     return EXIT_OK

@@ -84,25 +84,6 @@ def eig2_batch(m00, m01, m10, m11, greater) -> Eig2:
     return Eig2(zeta, v)
 
 
-def norm(v: np.ndarray):
-    """np.linalg.norm of a 1-D or C-contiguous complex array, same arithmetic, less overhead."""
-    v = v.reshape(-1)
-    return np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
-
-
 def cross2(u: np.ndarray, v: np.ndarray) -> complex:
     """Cross product on C^2: [u1 u2] x [v1 v2] = u1 v2 - u2 v1."""
     return u[0] * v[1] - u[1] * v[0]
-
-
-def phase_fix(v: np.ndarray, tol: float = 1e-14) -> np.ndarray:
-    """Rotate the global phase of each vector along v's last axis so its first
-    non-negligible entry is real positive. A vector with no such entry (the zero
-    vector, or tol >= 1) is kept, and v itself is returned if none has one."""
-    a = np.abs(v)
-    above = a > tol * a.max(axis=-1, keepdims=True, initial=0.0)
-    found = above.any(axis=-1, keepdims=True)
-    if not found.any():
-        return v
-    entry = np.where(found, np.take_along_axis(v, above.argmax(axis=-1)[..., None], -1), 1.0)
-    return np.where(found, v * (entry.conj() / np.hypot(entry.real, entry.imag)), v)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .coin import CoinField
 from .evolution import StateVector, _steps, coin_stack
-from .linalg import TAU, angle_dist, cross2, eig2_batch, norm, wrap_phase
+from .linalg import TAU, angle_dist, cross2, eig2_batch, wrap_phase
 from .transfer import MODULUS_TOL, lift_rows, transfer_rows
 
 log = logging.getLogger(__name__)
@@ -210,10 +210,15 @@ def operator_residual(field: CoinField, lam, psi):
     stepped = next(_steps(coin_stack(field, _runs([p.lo - 2 for p in psis], sizes)), amps,
                           [(0, len(amps) - 1)]))[0]  # the coins go with the generator
     diff = np.repeat(np.exp(1j * np.atleast_1d(lam)), sizes)[:, None] * amps
-    np.subtract(stepped.T, diff, out=diff)  # rows in order, as norm reads them
-    out = [norm(diff[e - n : e]) / norm(amps[e - n : e])
-           for n, e in zip(sizes.tolist(), ends.tolist())]
-    return float(out[0]) if isinstance(psi, StateVector) else np.array(out)
+    np.subtract(stepped.T, diff, out=diff)
+    out = np.sqrt(_sq_sums(diff, ends - sizes) / _sq_sums(amps, ends - sizes))
+    return float(out[0]) if isinstance(psi, StateVector) else out
+
+
+def _sq_sums(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sum |a|^2 over each run of rows of a (n, 3), from starts[k] to starts[k + 1]
+    (the last to the end): a run's sum depends only on its own rows."""
+    return np.add.reduceat(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag), starts)
 
 
 def _runs(starts, counts) -> np.ndarray:
@@ -251,15 +256,15 @@ def _lift(field: CoinField, candidates: list) -> list[StateVector]:
         powers[:, None] * grid[ends].repeat(counts, axis=0)).reshape(-1)
     los = np.array(starts) - tails[0] - 1
     amps = lift_rows(field, _runs(los, sizes), grid, np.repeat(np.exp(1j * np.array(lams)), sizes))
-    bounds = list(zip(offsets.tolist(), (offsets + sizes).tolist()))
-    amps /= np.repeat([float(norm(amps[i:j])) for i, j in bounds], sizes)[:, None]
-    # phase_fix(tol=1e-6) per vector: anchored on an entry above the decayed tails
+    amps /= np.repeat(np.sqrt(_sq_sums(amps, offsets)), sizes)[:, None]
+    # each state's phase: its first entry above 1e-6 of its largest made real positive
     mod = np.abs(amps).reshape(-1)
     above = mod > np.repeat(1e-6 * np.maximum.reduceat(mod, 3 * offsets), 3 * sizes)
     pick = np.minimum.reduceat(np.where(above, np.arange(mod.size), mod.size), 3 * offsets)
-    amps *= np.repeat([e.conjugate() / abs(e) if i < mod.size else 1.0 for i, e in zip(
-        pick.tolist(), amps.reshape(-1)[np.minimum(pick, mod.size - 1)])], sizes)[:, None]
-    return [StateVector(lo, lo + j - i - 1, amps[i:j]) for lo, (i, j) in zip(los.tolist(), bounds)]
+    e = np.where(pick < mod.size, amps.reshape(-1)[np.minimum(pick, mod.size - 1)], 1.0)
+    amps *= np.repeat(e.conj() / np.abs(e), sizes)[:, None]
+    return [StateVector(lo, lo + n - 1, amps[i : i + n])
+            for lo, i, n in zip(los.tolist(), offsets.tolist(), sizes.tolist())]
 
 
 def _chains(field: CoinField, lams: np.ndarray):
@@ -423,7 +428,7 @@ def find_roots(
 def _lands(v: np.ndarray, direction: np.ndarray) -> bool:
     """Whether v is nonzero and parallel, within PARALLEL_TOL, to the unit
     vector direction; nothing lands on the zero vector (an absent direction)."""
-    n = norm(v)
+    n = np.linalg.norm(v)
     return bool(n > 0.0 and direction.any() and abs(cross2(v / n, direction)) <= PARALLEL_TOL)
 
 
@@ -453,7 +458,7 @@ def lambda0_adjudicate(field: CoinField,
         on = in_lambda[idx]
         rates, units = np.zeros(len(el), dtype=complex), np.zeros((len(el), 2), dtype=complex)
         rates[idx[on]] = pairs.zeta[k, on]
-        units[idx[on]] = np.reshape([v / norm(v) for v in pairs.v[k, on]], (-1, 2))
+        units[idx[on]] = (v := pairs.v[k, on]) / np.linalg.norm(v, axis=-1, keepdims=True)
         return np.where(zero[:, None], turn, units), rates
 
     (start, rate_left), (end, rate_right) = (edge(0, in_left, zero_left, handed[0]),

@@ -14,7 +14,6 @@ import numpy as np
 
 from .coin import CoinField
 from .evolution import coin_stack
-from .linalg import phase_fix
 
 # |a11 e^{i lam} - e^{i Delta} conj(a33)| below this (relative) threshold marks
 # the transfer matrix as unbuildable at lam; transfer_rows' mask is the only
@@ -83,10 +82,11 @@ def zero_case_vectors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     parallel to `right`:
         left  ~ [a33 conj(a32), conj(a11) a21]
         right ~ [conj(a11) a12, a33 conj(a23)]
-    Each, (..., 2), is unit-normalized with its first nonzero entry made real
-    positive; the zero vector stands where both components vanish. A coin's
-    bits do not depend on the stack it comes in: the products are numpy's
-    scalar ones (no fused multiply-add), the norms linalg.norm's dot products.
+    Each, (..., 2), is a unit vector whose global phase is left as the products
+    give it: only its direction is a constraint. The zero vector stands where
+    both components vanish. A coin's bits do not depend on the stack it comes
+    in: the products are numpy's scalar ones (no fused multiply-add), the
+    norms vecdot's.
     """
     ca11, a33 = mat[..., 0, 0].conj(), mat[..., 2, 2]
     p = np.stack([a33, ca11, ca11, a33], axis=-1)
@@ -94,7 +94,7 @@ def zero_case_vectors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = _mul(p, q).reshape(*p.shape[:-1], 2, 2)  # (..., [left, right], 2)
     n = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
     small = n <= 1e-300
-    v = np.where(small, 0j, phase_fix(v / np.where(small, 1.0, n)))
+    v = np.where(small, 0j, v / np.where(small, 1.0, n))
     return v[..., 0, :], v[..., 1, :]
 
 

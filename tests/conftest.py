@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,12 @@ from qw3.spectral import lambda0_set
 from qw3.transfer import lift_rows, transfer_coefficients, transfer_rows
 
 THETAS = (np.pi / 12, 3 * np.pi / 12, 7 * np.pi / 12, 11 * np.pi / 12)
+
+# tools/parity_hash.py, a script rather than a package module, loaded from its file
+_spec = importlib.util.spec_from_file_location(
+    "parity_hash", Path(__file__).resolve().parents[1] / "tools" / "parity_hash.py")
+parity_hash = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(parity_hash)
 
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:

@@ -260,16 +260,18 @@ def test_evolve_trajectory_rows(tmp_path):
 
 
 def test_evolve_keeps_no_distribution_it_does_not_write(tmp_path):
-    # every distribution to t = 600 kept would take 601 x 1213 floats, 5.8 MB
+    # every distribution to t = 600 kept would take 601 x 1213 floats, 5.8 MB; the
+    # rows of a trajectory to t = 300 (a 3.6 MB file) kept as text, about 20 MB
     out = tmp_path / "ev.csv"
-    tracemalloc.start()
-    try:
-        assert main(["evolve", "--model", "one-defect", "--t", "600", "--out", str(out)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5e6
-    assert len(read_csv(out)[1]) == 1213
+    for flags, rows in ((["--t", "600"], 1213), (["--t", "300", "--trajectory"], 301 * 613)):
+        tracemalloc.start()
+        try:
+            assert main(["evolve", "--model", "one-defect", *flags, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6, flags
+        assert len(read_csv(out)[1]) == rows
 
 
 def test_evolve_window_too_small_exit3(tmp_path, capsys):
@@ -277,6 +279,7 @@ def test_evolve_window_too_small_exit3(tmp_path, capsys):
                  "--window", "10", "--out", str(tmp_path / "e.csv")])
     assert code == 3
     assert "half-width" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # the output's temporary file removed too
 
 
 def test_evolve_rejects_negative_time_and_empty_window(tmp_path, capsys):
@@ -474,6 +477,10 @@ def test_out_in_a_missing_directory_fails_before_any_work(tmp_path, capsys, monk
     assert main(argv + ["--out", str(out)]) == 2
     assert (f"configuration error: --out {out}: no directory {out.parent}"
             in capsys.readouterr().err)
+    (out := tmp_path / "x.out").mkdir()  # an existing directory
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"configuration error: --out {out}: is a directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_evolve_rejects_bad_initial_spinor(tmp_path, capsys):

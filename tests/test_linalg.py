@@ -1,6 +1,6 @@
 import numpy as np
 
-from qw3.linalg import TAU, branch_sqrt, cross2, eig2_batch, phase_fix
+from qw3.linalg import TAU, branch_sqrt, cross2, eig2_batch
 
 from conftest import random_unitary
 
@@ -138,37 +138,3 @@ def test_cross2_antisymmetric(rng):
         u = rng.normal(size=2) + 1j * rng.normal(size=2)
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         assert abs(cross2(u, v) + cross2(v, u)) < 1e-14
-
-
-def test_phase_fix_first_entry_real():
-    v = phase_fix(np.array([0.0, 1j * 2.0, 1.0]))
-    assert abs(v[1].imag) < 1e-15 and v[1].real > 0
-
-
-def loop_phase_fix(v, tol=1e-14):
-    """phase_fix as it walked each vector (along the last axis) entry by entry."""
-    if v.ndim > 1:
-        out = np.array([loop_phase_fix(row, tol) for row in v.reshape(-1, v.shape[-1])])
-        return out.reshape(v.shape)
-    mx = float(np.abs(v).max(initial=0.0))
-    if mx == 0.0:
-        return v
-    for entry in v.flat:
-        if abs(entry) > tol * mx:
-            return v * (entry.conjugate() / abs(entry))
-    return v
-
-
-def test_phase_fix_matches_the_entry_loop(rng):
-    # the same entry and the same multiply, so the same bits
-    for shape in ((1,), (2,), (7,), (300,), (40, 3)):
-        for _ in range(30):
-            v = ((rng.normal(size=shape) + 1j * rng.normal(size=shape))
-                 * 10.0 ** rng.uniform(-12, 0, size=shape))
-            for tol in (1e-14, 1e-6, 0.3):
-                assert phase_fix(v, tol).tobytes() == loop_phase_fix(v, tol).tobytes()
-    # nothing above the tolerance (tol >= 1), and the zero vector: unchanged
-    v = rng.normal(size=5) + 1j * rng.normal(size=5)
-    zero = np.zeros(4, dtype=complex)
-    assert phase_fix(v, 1.0) is v and loop_phase_fix(v, 1.0) is v
-    assert phase_fix(zero) is zero and loop_phase_fix(zero) is zero

@@ -1,12 +1,6 @@
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "parity_hash", Path(__file__).resolve().parents[1] / "tools" / "parity_hash.py")
-parity_hash = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(parity_hash)
+from conftest import parity_hash
 
 
 def test_the_verdict_names_each_group_equal_or_differing(capsys):
@@ -77,3 +71,12 @@ def test_tolerant_mode_finds_a_missing_group_or_field(capsys):
     first = {"presets": _spectra(([1.0], {}),), "wide-7": _spectra(([1.0], {}),)}
     assert parity_hash.tolerant_verdict([first, {"presets": _spectra()}], 1e-11) == 1
     assert capsys.readouterr().out.split("\n")[1:-1] == ["presets   differs", "wide-7    differs"]
+
+
+def test_tolerant_mode_compares_the_digest_groups_by_digest(capsys):
+    first = {"presets": _spectra(([1.0], {}),), "dynamics": "d1", "files": "f1"}
+    assert parity_hash.tolerant_verdict([first, dict(first)], 1e-11) == 0
+    assert parity_hash.tolerant_verdict([first, {**first, "files": "f2"}], 1e-11) == 1
+    assert parity_hash.tolerant_verdict([first, {"presets": first["presets"]}], 1e-11) == 1
+    assert capsys.readouterr().out.split("\n")[-4:-1] == [
+        "presets   equal", "dynamics  differs", "files     differs"]

@@ -36,6 +36,7 @@ from conftest import (
     abcd,
     bench_wide_field,
     lambda0_angle,
+    parity_hash,
     random_coin,
     transfer_batch,
     transfer_matrix,
@@ -705,6 +706,25 @@ def test_grover_degenerate_phase_records_pinned():
             assert abs(r.lam - lam) <= 1e-12 and (r.eigvec.lo, r.eigvec.hi) == window
             assert r.source == "lambda0-compact" and r.zeta_left == r.zeta_right == 0
             assert r.op_residual <= 1e-15
+
+
+def test_every_eigenvector_is_unit_with_its_phase_fixed():
+    # the one phase rule: the first amplitude above 1e-6 of a state's largest
+    # is real and positive; constraint directions enter with any phase. The
+    # fields: the presets, the grover and chains groups of tools/parity_hash.py
+    # and seed-5 wide windows 0-5
+    fields = ([preset_field(*key) for key in PRESET_EIGENPHASES] + grover_fields()
+              + parity_hash._chain_fields() + [bench_wide_field(5, i) for i in range(6)])
+    checked = 0
+    for field in fields:
+        for r in find_roots(field).records + lambda0_adjudicate(field):
+            amps = r.eigvec.amps.reshape(-1)
+            assert abs(np.linalg.norm(amps) - 1.0) <= 1e-14, r.lam
+            mod = np.abs(amps)
+            anchor = amps[np.argmax(mod > 1e-6 * mod.max())]
+            assert anchor.real > 0 and abs(anchor.imag) <= 1e-15 * abs(anchor), r.lam
+            checked += 1
+    assert checked == 234
 
 
 def test_marginal_decay_gates_degenerate_phases(monkeypatch):

@@ -24,6 +24,8 @@ prints one digest per group of fields, with the counts behind it:
              it: every `evolve` distribution to t = 800 and the
              `time_averaged_origin` to T = 1600, each on a window of the
              horizon + 6; and `qw3 evolve --trajectory` on the first preset
+  files      the CLI writers that `cli` leaves out: `qw3 scan` on the eight
+             presets and `qw3 demo fig1` to `fig4`
 
 `--wide-seeds LIST` adds the wide-windows fields of the seeds in LIST, a
 comma list of seeds and ranges A-B such as `1-60,1193434553`: one
@@ -34,23 +36,23 @@ A digest covers, per field: every find_roots and lambda0_adjudicate record
 (lambda, abs chi, both zetas, op_residual, eigenvector window and
 amplitudes, source), both diagnostics lists, chi_batch at grid 4000
 (values, in_lambda, near_lambda0) and lambda0_set; per distribution: its
-window, time and probabilities; per cli job: the exit code, the output
-file's bytes and its manifest without `wall_time_s`. Two
-checkouts agree bit for bit on a group iff its digests match. Each checkout
-runs in its own process.
+window, time and probabilities; per CLI job: the exit code, the output
+file's bytes, its `.lambda0.json` sidecar's if it writes one, and its
+manifest without `wall_time_s`. Two checkouts agree bit for bit on a group
+iff its digests match. Each checkout runs in its own process.
 
 Given two or more checkouts, it ends with a verdict: one `equal` or
 `differs` line per group, and exit code 1 if any group differs (or is
 missing from a checkout).
 
 `--tolerant` compares what a change that moves record bits on purpose must
-keep, in place of digests, on every group but `dynamics`. Per field (per job
-in `cli`): the record count; each lambda, matched to one of the first
-checkout's within 10 * refine_tol (1e-11) on the circle; the diagnostic
-kinds and their counts; and every op_residual against its checkout's
-RESIDUAL_TOL. After the verdict it lists each root gained or lost against
-the first checkout as (group, field, lambda), and each residual over its
-bound.
+keep, in place of digests, on every group but `dynamics` and `files`, which
+it compares by digest still. Per field (per job in `cli`): the record
+count; each lambda, matched to one of the first checkout's within
+10 * refine_tol (1e-11) on the circle; the diagnostic kinds and their
+counts; and every op_residual against its checkout's RESIDUAL_TOL. After
+the verdict it lists each root gained or lost against the first checkout as
+(group, field, lambda), and each residual over its bound.
 """
 
 from __future__ import annotations
@@ -186,8 +188,8 @@ def _digest_checkout(extra_seeds, tolerant: bool) -> None:
             h.update(np.array(lambda0_set(field), dtype=np.float64).tobytes())
         _print_group(name, h, f"fields={len(fields)}", counts, spectra, tolerant)
     _digest_cli(extra_seeds, tolerant)
-    if not tolerant:
-        _digest_dynamics()
+    _digest_dynamics()
+    _digest_files()
 
 
 def _digest_cli(extra_seeds, tolerant: bool) -> None:
@@ -215,7 +217,8 @@ def _digest_cli(extra_seeds, tolerant: bool) -> None:
 
 def _cli_job(h, argv: list[str], out: Path) -> int:
     """Run `qw3 <argv> --out out` in this process; hash its exit code, the
-    file's bytes and its manifest without `wall_time_s`."""
+    file's bytes, its `.lambda0.json` sidecar's if there is one, and its
+    manifest without `wall_time_s`."""
     from qw3.cli import main
 
     with contextlib.redirect_stdout(io.StringIO()):
@@ -223,6 +226,8 @@ def _cli_job(h, argv: list[str], out: Path) -> int:
     manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
     del manifest["wall_time_s"]
     h.update(b"%d" % code + out.read_bytes())
+    if (sidecar := out.with_name(out.name + ".lambda0.json")).exists():
+        h.update(sidecar.read_bytes())
     h.update(json.dumps(manifest, sort_keys=True).encode())
     return code
 
@@ -246,6 +251,21 @@ def _digest_dynamics() -> None:
                         Path(tmp, "evolve.csv"))
     print(f"{'dynamics':9s} {h.hexdigest()}  presets={len(PRESETS)} evolve_t={EVOLVE_T} "
           f"average_t={AVERAGE_T} trajectory_exit={code}", flush=True)
+
+
+def _digest_files() -> None:
+    """The files group: `qw3 scan` on the presets and the four `qw3 demo` figures,
+    each job with its own output file."""
+    from workloads import PRESETS
+
+    h, codes = hashlib.sha256(), Counter()
+    jobs = [["scan", *p.cli_args(), "--grid", str(GRID)] for p in PRESETS]
+    jobs += [["demo", f"fig{k}"] for k in range(1, 5)]
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, argv in enumerate(jobs):
+            codes[f"exit{_cli_job(h, argv, Path(tmp, f'{k}.csv'))}"] += 1
+    summary = " ".join(f"{k}={v}" for k, v in sorted(codes.items()))
+    print(f"{'files':9s} {h.hexdigest()}  jobs={len(jobs)} {summary}", flush=True)
 
 
 def _seed_range(text: str) -> list[int]:
@@ -285,12 +305,12 @@ def main(argv: list[str]) -> int:
                               stdout=subprocess.PIPE, text=True) as proc:
             for line in proc.stdout:
                 name, value = line.split(None, 1)
-                if args.tolerant:
+                if args.tolerant and value.startswith("{"):  # else a digest group's line
                     value = json.loads(value)
                     records = sum(len(field["lambda"]) for field in value["fields"])
                     line = f"{name:9s} fields={len(value['fields'])} records={records}\n"
                 print(line, end="", flush=True)
-                runs[-1][name] = value if args.tolerant else value.split()[0]
+                runs[-1][name] = value if isinstance(value, dict) else value.split()[0]
         if proc.returncode:
             return proc.returncode
     if len(runs) < 2:
@@ -324,15 +344,20 @@ def _unmatched(lams: list[float], others: list[float], tol: float) -> list[float
 def tolerant_verdict(runs: list[dict[str, dict]], tol: float) -> int:
     """Print, per group, whether every checkout's spectra agree with the first's:
     per field the record count, each lambda within tol, the diagnostic kinds and
-    their counts, and every op_residual within its checkout's residual_tol. Then
-    list each root lost or gained against the first checkout, and each residual
-    over its bound; 1 if any group differs."""
+    their counts, and every op_residual within its checkout's residual_tol; a
+    group given as a digest string (dynamics, files), whether the digests match.
+    Then list each root lost or gained against the first checkout, and each
+    residual over its bound; 1 if any group differs."""
     print("# verdict", flush=True)
     names = list(dict.fromkeys(name for run in runs for name in run))
     notes, differs = [], set()
     for name in names:
-        if any(name not in run or len(run[name]["fields"]) != len(runs[0][name]["fields"])
-               for run in runs):
+        group = [run.get(name) for run in runs]
+        if any(isinstance(g, str) for g in group):
+            if len(set(map(str, group))) > 1:
+                differs.add(name)
+            continue
+        if None in group or any(len(g["fields"]) != len(group[0]["fields"]) for g in group):
             differs.add(name)
             continue
         for c, run in enumerate(runs):
